@@ -128,14 +128,11 @@ type Advisor struct {
 	stats   AdvisorStats
 }
 
-// NewAdvisor returns a materialization advisor over the cube. Only
-// cluster-backed cubes can adapt; snapshot-loaded cubes have no
-// machine to build on. Iceberg cubes are rejected for the same reason
-// they cannot ingest: pruned groups make online re-aggregation wrong.
+// NewAdvisor returns a materialization advisor over the cube, built or
+// loaded from a snapshot. Iceberg cubes are rejected for the same
+// reason they cannot ingest: pruned groups make online re-aggregation
+// wrong.
 func (c *Cube) NewAdvisor(opts AdvisorOptions) (*Advisor, error) {
-	if c.engine == nil {
-		return nil, fmt.Errorf("rolap: cube has no cluster (loaded from snapshot); advisor needs the machine")
-	}
 	if c.opts.MinSupport > 0 {
 		return nil, fmt.Errorf("rolap: iceberg cubes cannot be adapted online (pruned groups are unrecoverable)")
 	}

@@ -158,19 +158,19 @@ func run(csvPath, measure string, procs int, selectFlag, save, snapshot, ingestP
 		}
 	}
 	if vw == nil && stats {
-		if srv, serr := cube.NewServer(rolap.ServerOptions{}); serr == nil {
-			var qm rolap.QueryMetrics
-			vw, qm, err = srv.GroupBy(context.Background(), dims, filters)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "query: source=[%s] rows_scanned=%d bytes_moved=%d sim_s=%.6f index=%v cache_hit=%v\n",
-				strings.Join(qm.SourceView, ","), qm.RowsScanned, qm.BytesMoved, qm.SimSeconds, qm.IndexUsed, qm.CacheHit)
-			printViewDemand(srv.Stats())
-			printSketchBytes(cube.Metrics())
-		} else {
-			fmt.Fprintln(os.Stderr, "stats unavailable for snapshot cubes (no simulated cluster); answering directly")
+		srv, err := cube.NewServer(rolap.ServerOptions{})
+		if err != nil {
+			return err
 		}
+		var qm rolap.QueryMetrics
+		vw, qm, err = srv.GroupBy(context.Background(), dims, filters)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "query: source=[%s] rows_scanned=%d bytes_moved=%d sim_s=%.6f index=%v cache_hit=%v\n",
+			strings.Join(qm.SourceView, ","), qm.RowsScanned, qm.BytesMoved, qm.SimSeconds, qm.IndexUsed, qm.CacheHit)
+		printViewDemand(srv.Stats())
+		printSketchBytes(cube.Metrics())
 	}
 	if vw == nil {
 		vw, err = cube.GroupBy(dims, filters)

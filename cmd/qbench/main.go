@@ -96,8 +96,7 @@ func main() {
 	advisor := flag.Bool("advisor", false, "run the advisor scenario: adaptive partial cube under a Zipf query mix vs full-cube and static-minimal arms")
 	smoke := flag.Bool("smoke", false, "with -advisor: exit nonzero unless the advisor arm strictly improves p50 over static-minimal and every answer matches the full cube")
 	stepEvery := flag.Int("advise-every", 40, "advisor steps every N queries")
-	storage := flag.Bool("storage", false, "storage smoke gate: replay the workload against row and columnar cubes, exiting nonzero unless every answer is byte-identical")
-	sketchFlag := flag.Bool("sketch", false, "sketch accuracy experiment: distinct/quantile estimates vs the exact gather oracle across cardinalities and ranks, plus build-cost overhead and the kernels-on/off determinism gate")
+	sketchFlag := flag.Bool("sketch", false, "sketch accuracy experiment: distinct/quantile estimates vs the exact gather oracle across cardinalities and ranks, plus build-cost overhead")
 	flag.Parse()
 
 	cfg := config{rows: *rows, queries: *queries, workers: *workers,
@@ -122,13 +121,6 @@ func main() {
 	cfg.procs = parseCounts(*procsFlag, "processor")
 	if *sketchFlag {
 		if err := runSketch(cfg, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *storage {
-		if err := runStorageSmoke(cfg, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

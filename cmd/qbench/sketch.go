@@ -9,12 +9,6 @@ import (
 	"sort"
 
 	rolap "repro"
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/costmodel"
-	"repro/internal/lattice"
-	"repro/internal/record"
-	"repro/internal/sketch"
 )
 
 // runSketch is qbench's -sketch mode: the accuracy and cost experiment
@@ -30,23 +24,19 @@ import (
 //     at a sweep of percentile ranks; relative error per rank.
 //
 // The report also measures build-cost overhead (holistic vs Sum build
-// of the same facts: simulated time, network bytes, sketch storage)
-// and runs the determinism gate: two builds of the same facts, one
-// with the packed-key kernels enabled and one without, must produce
-// bit-identical sealed sketch blobs row for row. With -smoke the run
-// exits non-zero unless every relative error is within the bound and
-// the determinism gate passes.
+// of the same facts: simulated time, network bytes, sketch storage).
+// The run exits non-zero unless every relative error is within the
+// bound.
 const sketchErrBound = 0.05
 
 // sketchReport is the BENCH_PR10.json payload.
 type sketchReport struct {
-	Seed       int64                 `json:"seed"`
-	Bound      float64               `json:"rel_err_bound"`
-	Distinct   []distinctAccuracy    `json:"distinct_by_cardinality"`
-	Quantile   []quantileAccuracy    `json:"quantile_by_rank"`
-	BuildCost  sketchBuildCost       `json:"build_cost"`
-	Determinism sketchDeterminism    `json:"determinism"`
-	Pass       bool                  `json:"pass"`
+	Seed      int64              `json:"seed"`
+	Bound     float64            `json:"rel_err_bound"`
+	Distinct  []distinctAccuracy `json:"distinct_by_cardinality"`
+	Quantile  []quantileAccuracy `json:"quantile_by_rank"`
+	BuildCost sketchBuildCost    `json:"build_cost"`
+	Pass      bool               `json:"pass"`
 }
 
 type distinctAccuracy struct {
@@ -74,11 +64,6 @@ type sketchBuildCost struct {
 	QuantileBytesMoved  int64   `json:"quantile_bytes_moved"`
 	DistinctSketchBytes int64   `json:"distinct_sketch_bytes"`
 	QuantileSketchBytes int64   `json:"quantile_sketch_bytes"`
-}
-
-type sketchDeterminism struct {
-	BlobsCompared int  `json:"blobs_compared"`
-	Identical     bool `json:"identical"`
 }
 
 func runSketch(cfg config, w io.Writer) error {
@@ -117,17 +102,6 @@ func runSketch(cfg config, w io.Writer) error {
 		cost.Rows, cost.SumSimSeconds, cost.DistinctSimSeconds, cost.QuantileSimSeconds,
 		cost.DistinctSketchBytes, cost.QuantileSketchBytes)
 
-	// Determinism gate: kernels on vs off, bit-identical blobs.
-	det, err := determinismArm(uint64(cfg.seed))
-	if err != nil {
-		return err
-	}
-	rep.Determinism = det
-	if !det.Identical {
-		rep.Pass = false
-	}
-	fmt.Fprintf(w, "determinism: %d blobs compared, identical=%v\n", det.BlobsCompared, det.Identical)
-
 	if cfg.out != "" {
 		if err := writeJSON(cfg.out, rep); err != nil {
 			return err
@@ -135,9 +109,9 @@ func runSketch(cfg config, w io.Writer) error {
 		fmt.Fprintf(w, "report written to %s\n", cfg.out)
 	}
 	if !rep.Pass {
-		return fmt.Errorf("qbench -sketch: accuracy or determinism gate failed (bound %.2f)", sketchErrBound)
+		return fmt.Errorf("qbench -sketch: accuracy gate failed (bound %.2f)", sketchErrBound)
 	}
-	fmt.Fprintf(w, "sketch gates passed: every estimate within %.0f%%, deterministic blobs\n", sketchErrBound*100)
+	fmt.Fprintf(w, "sketch gates passed: every estimate within %.0f%%\n", sketchErrBound*100)
 	return nil
 }
 
@@ -300,69 +274,6 @@ func quantileArm(cfg config, seed uint64) ([]quantileAccuracy, sketchBuildCost, 
 		out = append(out, qa)
 	}
 	return out, cost, nil
-}
-
-// determinismArm builds the same distinct cube twice — packed-key
-// kernels enabled, then disabled — and compares every view row's
-// sealed sketch blob bit for bit.
-func determinismArm(seed uint64) (sketchDeterminism, error) {
-	d, p := 2, 3
-	raw := record.New(d, 0)
-	x := seed*0x2545f4914f6cdd1d | 1
-	next := func() uint64 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		return x
-	}
-	row := make([]uint32, d)
-	for i := 0; i < 3000; i++ {
-		row[0] = uint32(next() % 8)
-		row[1] = uint32(next() % 5)
-		raw.Append(row, int64(next()%10000))
-	}
-	build := func(kernels bool) (*cluster.Machine, *sketch.Store, error) {
-		prev := record.SetKernelsEnabled(kernels)
-		defer record.SetKernelsEnabled(prev)
-		st := sketch.NewStore(sketch.Config{Kind: sketch.KindDistinct})
-		m := cluster.New(p, costmodel.Default())
-		for r := 0; r < p; r++ {
-			m.Proc(r).Disk().Put("raw", raw.Sub(r*raw.Len()/p, (r+1)*raw.Len()/p))
-		}
-		_, err := core.BuildCube(m, "raw", core.Config{D: d, Agg: record.OpDistinct, Sketch: st})
-		return m, st, err
-	}
-	m1, st1, err := build(true)
-	if err != nil {
-		return sketchDeterminism{}, err
-	}
-	m2, st2, err := build(false)
-	if err != nil {
-		return sketchDeterminism{}, err
-	}
-	det := sketchDeterminism{Identical: true}
-	for _, v := range lattice.AllViews(d) {
-		for r := 0; r < p; r++ {
-			t1, ok1 := m1.Proc(r).Disk().Peek(core.ViewFile(v))
-			t2, ok2 := m2.Proc(r).Disk().Peek(core.ViewFile(v))
-			if ok1 != ok2 || (ok1 && t1.Len() != t2.Len()) {
-				det.Identical = false
-				continue
-			}
-			if !ok1 {
-				continue
-			}
-			for i := 0; i < t1.Len(); i++ {
-				b1 := st1.Export([]int64{t1.Meas(i)})[0]
-				b2 := st2.Export([]int64{t2.Meas(i)})[0]
-				det.BlobsCompared++
-				if string(b1) != string(b2) {
-					det.Identical = false
-				}
-			}
-		}
-	}
-	return det, nil
 }
 
 // writeJSON writes v to path as indented JSON.

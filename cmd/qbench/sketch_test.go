@@ -46,9 +46,6 @@ func TestRunSketch(t *testing.T) {
 			t.Fatalf("quantile rank %v rel err %v over bound", q.Rank, q.MaxRelErr)
 		}
 	}
-	if !rep.Determinism.Identical || rep.Determinism.BlobsCompared == 0 {
-		t.Fatalf("determinism gate: %+v", rep.Determinism)
-	}
 	if rep.BuildCost.DistinctSketchBytes <= 0 || rep.BuildCost.QuantileSketchBytes <= 0 {
 		t.Fatalf("missing sketch storage cost: %+v", rep.BuildCost)
 	}

@@ -1,7 +1,7 @@
 // Snapshot: the precompute-then-serve deployment the paper motivates.
 // A nightly job ingests the day's fact table from CSV, builds the cube
 // on the simulated cluster, and writes a snapshot; a query server
-// loads the snapshot (no cluster, no rebuild) and answers OLAP queries
+// loads the snapshot (no rebuild) and answers OLAP queries
 // from the materialized views.
 package main
 

@@ -134,12 +134,6 @@ func (c *Cube) SetIngestFaults(fp *FaultPlan) error {
 
 // ingestable reports whether the cube accepts incremental batches.
 func (c *Cube) ingestable() error {
-	if c.machine == nil {
-		return fmt.Errorf("rolap: cube has no cluster; rebuild to ingest")
-	}
-	if c.loadedV1 {
-		return fmt.Errorf("rolap: cube loaded from a v1 snapshot (iceberg status unrecorded); re-save or rebuild to ingest")
-	}
 	if c.opts.MinSupport > 0 {
 		return fmt.Errorf("rolap: iceberg cubes cannot be maintained incrementally (pruned groups are unrecoverable); rebuild instead")
 	}

@@ -20,8 +20,7 @@
 //
 // Everything here is deterministic: the encoding chosen for a column
 // depends only on the column's values, so modelled byte sizes (and the
-// simulated charges derived from them) are identical run to run,
-// kernels on or off.
+// simulated charges derived from them) are identical run to run.
 package colstore
 
 import (
@@ -29,7 +28,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/record"
 )
@@ -47,23 +45,6 @@ const (
 // block, so loaders can detect damaged or truncated slices with
 // errors.Is instead of panicking mid-decode.
 var ErrCorrupt = errors.New("colstore: corrupt columnar block")
-
-// disabled gates the columnar layout globally (on by default), the
-// storage analogue of record.SetKernelsEnabled: the row-storage bench
-// arm and the columnar-vs-row oracle tests run with it off. Unlike the
-// kernel switch, turning storage off is allowed to change modelled
-// byte sizes — that difference is the point of the comparison.
-var disabled atomic.Bool
-
-// Enabled reports whether sealing to the columnar layout is on.
-func Enabled() bool { return !disabled.Load() }
-
-// SetEnabled turns the columnar layout on or off, returning the
-// previous setting. Only complete configurations are supported: flip
-// it before building, not mid-run.
-func SetEnabled(on bool) bool {
-	return !disabled.Swap(!on)
-}
 
 // Column is one encoded dimension column.
 type Column struct {

@@ -34,6 +34,7 @@ func sortedTable(n int, cards []int, seed uint64) *record.Table {
 }
 
 func TestRoundTrip(t *testing.T) {
+	t.Parallel()
 	for _, n := range []int{0, 1, 2, 100, 4097} {
 		src := sortedTable(n, []int{4, 8, 300, 70000}, uint64(n)+1)
 		s := Encode(src)
@@ -50,6 +51,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestRandomAccessAndRanges(t *testing.T) {
+	t.Parallel()
 	src := sortedTable(500, []int{3, 5, 1000}, 7)
 	s := Encode(src)
 	n := src.Len()
@@ -77,6 +79,7 @@ func TestRandomAccessAndRanges(t *testing.T) {
 }
 
 func TestNegativeAndExtremeMeasures(t *testing.T) {
+	t.Parallel()
 	src := record.New(1, 4)
 	src.Append([]uint32{0}, -1<<62)
 	src.Append([]uint32{1}, 1<<62)
@@ -89,6 +92,7 @@ func TestNegativeAndExtremeMeasures(t *testing.T) {
 }
 
 func TestCompressionOnSortedSlices(t *testing.T) {
+	t.Parallel()
 	src := sortedTable(20000, []int{2, 4, 8, 16, 100, 100, 100, 100}, 99)
 	s := Encode(src)
 	if s.Bytes() >= src.Bytes() {
@@ -101,6 +105,7 @@ func TestCompressionOnSortedSlices(t *testing.T) {
 }
 
 func TestLeadingRuns(t *testing.T) {
+	t.Parallel()
 	src := sortedTable(3000, []int{5, 7, 5000}, 3)
 	s := Encode(src)
 	vals, starts := s.LeadingRuns()
@@ -119,6 +124,7 @@ func TestLeadingRuns(t *testing.T) {
 }
 
 func TestValidateDetectsCorruption(t *testing.T) {
+	t.Parallel()
 	src := sortedTable(400, []int{4, 9, 700}, 11)
 	mutations := []func(*Slice){
 		func(s *Slice) { s.NumRows++ },
@@ -143,6 +149,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 }
 
 func TestChecksumAndCorrupt(t *testing.T) {
+	t.Parallel()
 	src := sortedTable(300, []int{4, 9, 700}, 13)
 	s := Encode(src)
 	sum := s.Checksum()
@@ -164,6 +171,7 @@ func TestChecksumAndCorrupt(t *testing.T) {
 }
 
 func TestTableCacheSharedAndEqual(t *testing.T) {
+	t.Parallel()
 	src := sortedTable(200, []int{3, 50}, 17)
 	s := Encode(src)
 	a, b := s.Table(), s.Table()
@@ -179,6 +187,7 @@ func TestTableCacheSharedAndEqual(t *testing.T) {
 }
 
 func TestFrequencyRemaps(t *testing.T) {
+	t.Parallel()
 	// Sparse first-appearance codes: three values with skewed
 	// frequencies at codes 9000, 5, 70000.
 	src := record.New(1, 0)
@@ -207,6 +216,7 @@ func TestFrequencyRemaps(t *testing.T) {
 }
 
 func TestStoreInterface(t *testing.T) {
+	t.Parallel()
 	src := sortedTable(100, []int{4, 40}, 19)
 	var st Store = TableStore{T: src}
 	if st.Len() != src.Len() || st.D() != src.D || st.Bytes() != src.Bytes() || st.Table() != src {
@@ -218,16 +228,5 @@ func TestStoreInterface(t *testing.T) {
 	}
 	if !record.Equal(st.Table(), src) {
 		t.Fatal("Slice Store decode broken")
-	}
-}
-
-func TestEnabledSwitch(t *testing.T) {
-	prev := SetEnabled(false)
-	if Enabled() {
-		t.Fatal("disable did not stick")
-	}
-	SetEnabled(prev)
-	if !Enabled() {
-		t.Fatal("default should be enabled")
 	}
 }

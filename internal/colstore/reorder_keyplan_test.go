@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/record"
@@ -13,8 +14,7 @@ import (
 // after the frequency remap densifies the codes, so the same data
 // takes the radix path.
 func TestReorderingNarrowsKeyPlanToPackable(t *testing.T) {
-	defer record.SetKernelsEnabled(record.SetKernelsEnabled(true))
-
+	t.Parallel()
 	// Six declared dimensions of 2^24: 6*24 = 144 bits, over the
 	// 128-bit packed-key window.
 	const d = 6
@@ -62,18 +62,15 @@ func TestReorderingNarrowsKeyPlanToPackable(t *testing.T) {
 	if !kp.Packable() {
 		t.Fatalf("remapped plan not packable: %d bits from cards %v", kp.Bits(), cards)
 	}
-	// This is SortWithPlan's radix gate: kernels on, enough rows, the
-	// plan covers every column and packs. The comparison-sort oracle
-	// below then proves the radix path sorts the remapped codes
-	// correctly.
-	if !(record.KernelsEnabled() && n >= 48 && kp.Cols() == d && kp.Packable()) {
+	// This is SortWithPlan's radix gate: enough rows, the plan covers
+	// every column and packs. The comparison-sort oracle below then
+	// proves the radix path sorts the remapped codes correctly.
+	if !(n >= 48 && kp.Cols() == d && kp.Packable()) {
 		t.Fatal("radix-path gate not satisfied")
 	}
 
 	oracle := tb.Clone()
-	record.SetKernelsEnabled(false)
-	oracle.Sort()
-	record.SetKernelsEnabled(true)
+	sort.Sort(byRow{oracle})
 	tb.SortWithPlan(kp, true)
 	for i := 0; i < n; i++ {
 		for j := 0; j < d; j++ {
@@ -83,3 +80,9 @@ func TestReorderingNarrowsKeyPlanToPackable(t *testing.T) {
 		}
 	}
 }
+
+// byRow sorts a table by comparing whole rows — the comparison-sort
+// oracle, independent of record's key packing.
+type byRow struct{ *record.Table }
+
+func (s byRow) Less(i, j int) bool { return s.Compare(i, j, s.D) < 0 }

@@ -101,7 +101,7 @@ func replicateFiles(p *cluster.Proc, files []ckptFile, out *procOut) {
 	disk := p.Disk()
 	from := (p.Rank() + np - 1) % np
 	for _, f := range files {
-		if f.sealed && colstore.Enabled() {
+		if f.sealed {
 			// View slices ship in the columnar compressed layout and are
 			// stored compressed on the neighbor's disk.
 			var s *colstore.Slice

@@ -276,8 +276,7 @@ type Metrics struct {
 	OutputRows            int64
 	// OutputBytes is the row-format size of the output views (the
 	// uncompressed baseline); OutputBytesStored is the modelled on-disk
-	// size after columnar compression — equal to OutputBytes when the
-	// columnar store is disabled.
+	// size after columnar compression.
 	OutputBytes       int64
 	OutputBytesStored int64
 	// SketchBytes is the serialized size of all sketch state referenced
@@ -569,10 +568,9 @@ func buildDim(p *cluster.Proc, rawFile string, cfg Config, i int, partSel []latt
 		if cfg.MinSupport > 0 {
 			icebergFilter(p, ViewFile(v), cfg.MinSupport)
 		}
-		// Rewrite the finished slice in the columnar compressed layout
-		// (no-op when the columnar store is disabled): every later
-		// consumer — checkpoints, persist, snapshots, queries — reads it
-		// at the compressed size.
+		// Rewrite the finished slice in the columnar compressed layout:
+		// every later consumer — checkpoints, persist, snapshots,
+		// queries — reads it at the compressed size.
 		if disk.Has(ViewFile(v)) {
 			disk.Seal(ViewFile(v))
 		}

@@ -10,23 +10,42 @@ import (
 	"repro/internal/record"
 )
 
-// TestBuildCubeKernelsDeterminism is the two-clock guard for the
-// packed-key radix/merge kernels: building the same seeded cube with
-// kernels enabled and disabled must produce byte-identical view files
-// on every rank and identical public Metrics. The kernels are allowed
-// to change wall-clock time only — every simulated charge (SortOps,
-// MergeOps, block transfers, h-relations) is analytic in the input
-// sizes, never in the execution path taken.
-func TestBuildCubeKernelsDeterminism(t *testing.T) {
-	spec := gen.Spec{N: 6000, D: 4, Cards: []int{16, 12, 8, 5}, Seed: 21}
+// top is the bit widenKeys sets in every dimension value: an
+// order-preserving shift that makes each column 32 bits wide, so rows
+// of five or more columns no longer pack into 128 key bits.
+const top = uint32(1) << 31
+
+func widenKeys(t *record.Table) {
+	for i := 0; i < t.Len(); i++ {
+		for j := range t.Row(i) {
+			t.Row(i)[j] |= top
+		}
+	}
+}
+
+// TestBuildCubeSortPathDeterminism is the build-level guard for the
+// two sort/merge paths. Which one runs is decided by key width, so the
+// same seeded rows are built twice: as generated (every key packs into
+// 128 bits: radix sorts, loser-tree merges) and with the top bit of
+// every value set — an order-preserving shift to 32 bits per column,
+// which pushes the raw sort and every view of five or six dimensions
+// onto the comparison sort and the heap merge. Every rank must hold
+// the same view slices once the shift is undone. (Simulated charges
+// cannot be compared across the two builds — wider values change the
+// modelled byte sizes; their path independence is asserted where the
+// charges are made, in extsort's tests.)
+func TestBuildCubeSortPathDeterminism(t *testing.T) {
+	spec := gen.Spec{N: 6000, D: 6, Cards: []int{16, 12, 8, 5, 4, 3}, Seed: 21}
 	p := 4
-	build := func(on bool) (*cluster.Machine, Metrics) {
-		prev := record.SetKernelsEnabled(on)
-		defer record.SetKernelsEnabled(prev)
+	build := func(wide bool) (*cluster.Machine, Metrics) {
 		g := gen.New(spec)
 		m := cluster.New(p, costmodel.Default())
 		for r := 0; r < p; r++ {
-			m.Proc(r).Disk().Put("raw", g.Slice(r, p))
+			raw := g.Slice(r, p)
+			if wide {
+				widenKeys(raw)
+			}
+			m.Proc(r).Disk().Put("raw", raw)
 		}
 		met, err := BuildCube(m, "raw", Config{D: spec.D})
 		if err != nil {
@@ -34,25 +53,40 @@ func TestBuildCubeKernelsDeterminism(t *testing.T) {
 		}
 		return m, met
 	}
-	mOn, metOn := build(true)
-	mOff, metOff := build(false)
+	mNarrow, metNarrow := build(false)
+	mWide, metWide := build(true)
 
-	if !reflect.DeepEqual(metOn, metOff) {
-		t.Fatalf("Metrics differ between kernel paths:\n on: %+v\noff: %+v", metOn, metOff)
+	if !reflect.DeepEqual(metNarrow.ViewRows, metWide.ViewRows) || len(metNarrow.ViewRows) != 1<<spec.D {
+		t.Fatalf("view row counts differ between sort paths:\nradix:      %v\ncomparison: %v", metNarrow.ViewRows, metWide.ViewRows)
 	}
-	if len(metOn.ViewRows) == 0 {
-		t.Fatal("no views materialized")
-	}
-	for v := range metOn.ViewRows {
+	unpackable := 0
+	for v := range metNarrow.ViewRows {
 		for r := 0; r < p; r++ {
-			tbOn, okOn := mOn.Proc(r).Disk().Get(ViewFile(v))
-			tbOff, okOff := mOff.Proc(r).Disk().Get(ViewFile(v))
-			if okOn != okOff {
-				t.Fatalf("view %v rank %d: presence differs (on=%v off=%v)", v, r, okOn, okOff)
+			narrow, okN := mNarrow.Proc(r).Disk().Get(ViewFile(v))
+			wide, okW := mWide.Proc(r).Disk().Get(ViewFile(v))
+			if okN != okW {
+				t.Fatalf("view %v rank %d: presence differs (radix=%v comparison=%v)", v, r, okN, okW)
 			}
-			if okOn && !record.Equal(tbOn, tbOff) {
-				t.Fatalf("view %v rank %d: bytes differ between kernel paths", v, r)
+			if !okN {
+				continue
+			}
+			if !record.MeasureKeyPlan(wide).Packable() {
+				unpackable++
+			}
+			unshifted := record.New(wide.D, wide.Len())
+			row := make([]uint32, wide.D)
+			for i := 0; i < wide.Len(); i++ {
+				for j, x := range wide.Row(i) {
+					row[j] = x &^ top
+				}
+				unshifted.Append(row, wide.Meas(i))
+			}
+			if !record.Equal(narrow, unshifted) {
+				t.Fatalf("view %v rank %d: slices differ between sort paths", v, r)
 			}
 		}
+	}
+	if unpackable == 0 {
+		t.Fatal("test premise broken: no slice of the wide build is on the comparison path")
 	}
 }

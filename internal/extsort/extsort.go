@@ -12,11 +12,10 @@
 // Run formation sorts with record's packed-key radix kernel, and the
 // multi-way merge is a loser tree on packed keys (record.LoserTree):
 // per-column key widths are measured once during run formation and the
-// resulting plan drives every merge pass. Unpackable keys (or kernels
-// disabled via record.SetKernelsEnabled) fall back to the
-// comparison-based container/heap merge. Either way the simulated
-// charges — block transfers and MergeOps — are identical; only
-// wall-clock time differs.
+// resulting plan drives every merge pass. Keys wider than 128 bits
+// take the comparison-based container/heap merge. Either way the
+// simulated charges — block transfers and MergeOps — are identical;
+// only wall-clock time differs.
 package extsort
 
 import (
@@ -73,7 +72,7 @@ func sortBudget(d *simdisk.Disk, name string, memBytes, blockBytes int, callerPl
 	clk := d.Clock()
 	// A caller plan is usable when it can drive the radix/packed path
 	// outright; otherwise behave exactly like the measured variant.
-	useCaller := haveCaller && record.KernelsEnabled() && callerPlan.Cols() == cols && callerPlan.Packable()
+	useCaller := haveCaller && callerPlan.Cols() == cols && callerPlan.Packable()
 
 	if n <= memRows {
 		// Fits in memory: one read, in-memory sort, one write.
@@ -103,7 +102,7 @@ func sortBudget(d *simdisk.Disk, name string, memBytes, blockBytes int, callerPl
 		run := d.ReadRange(name, lo, hi)
 		clk.AddCompute(costmodel.SortOps(run.Len()))
 		run.SortWithPlan(callerPlan, useCaller)
-		if !useCaller && record.KernelsEnabled() {
+		if !useCaller {
 			p := record.MeasureKeyPlan(run)
 			if !havePlan {
 				plan, havePlan = p, true
@@ -116,7 +115,7 @@ func sortBudget(d *simdisk.Disk, name string, memBytes, blockBytes int, callerPl
 		runs = append(runs, rn)
 	}
 	d.Remove(name)
-	usePlan := havePlan && plan.Packable() && record.KernelsEnabled()
+	usePlan := havePlan && plan.Packable()
 
 	// Multi-way merge passes. Fan-in is bounded by the number of block
 	// buffers that fit in memory, reserving one buffer for output.

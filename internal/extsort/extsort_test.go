@@ -27,6 +27,7 @@ func randomTable(seed int64, n, d, card int) *record.Table {
 func newDisk() *simdisk.Disk { return simdisk.New(costmodel.NewClock(costmodel.Default())) }
 
 func TestSortInMemoryPath(t *testing.T) {
+	t.Parallel()
 	d := newDisk()
 	tb := randomTable(1, 100, 3, 10)
 	want := tb.Clone()
@@ -43,6 +44,7 @@ func TestSortInMemoryPath(t *testing.T) {
 }
 
 func TestSortExternalSinglePass(t *testing.T) {
+	t.Parallel()
 	d := newDisk()
 	n := 1000
 	tb := randomTable(2, n, 2, 50)
@@ -62,6 +64,7 @@ func TestSortExternalSinglePass(t *testing.T) {
 }
 
 func TestSortExternalMultiPass(t *testing.T) {
+	t.Parallel()
 	d := newDisk()
 	n := 2000
 	tb := randomTable(3, n, 2, 7)
@@ -87,6 +90,7 @@ func TestSortExternalMultiPass(t *testing.T) {
 }
 
 func TestSortEmptyAndSingleton(t *testing.T) {
+	t.Parallel()
 	d := newDisk()
 	d.Put("e", record.New(3, 0))
 	if Sort(d, "e") != 0 {
@@ -102,6 +106,7 @@ func TestSortEmptyAndSingleton(t *testing.T) {
 }
 
 func TestSortMissingFilePanics(t *testing.T) {
+	t.Parallel()
 	d := newDisk()
 	defer func() {
 		if recover() == nil {
@@ -112,6 +117,7 @@ func TestSortMissingFilePanics(t *testing.T) {
 }
 
 func TestSortChargesMoreIOWhenExternal(t *testing.T) {
+	t.Parallel()
 	mk := func() (*simdisk.Disk, *costmodel.Clock) {
 		clk := costmodel.NewClock(costmodel.Default())
 		return simdisk.New(clk), clk
@@ -135,6 +141,7 @@ func TestSortChargesMoreIOWhenExternal(t *testing.T) {
 }
 
 func TestSortIOWithinEnvelope(t *testing.T) {
+	t.Parallel()
 	// I/O volume of an external sort must stay within a small constant of
 	// (passes+2) full scans of the file (read+write per pass, plus the
 	// initial run formation read/write).
@@ -156,6 +163,7 @@ func TestSortIOWithinEnvelope(t *testing.T) {
 }
 
 func TestQuickSortEqualsInMemory(t *testing.T) {
+	t.Parallel()
 	f := func(seed int64, nRaw uint16, memRaw uint8) bool {
 		n := int(nRaw%3000) + 2
 		d := newDisk()
@@ -194,6 +202,7 @@ func sameSortedRows(a, b *record.Table) bool {
 }
 
 func TestPassCountMatchesTheory(t *testing.T) {
+	t.Parallel()
 	// With r runs and fan-in f, passes should be ceil(log_f r).
 	d := newDisk()
 	n := 4096

@@ -7,45 +7,71 @@ import (
 	"repro/internal/record"
 )
 
-// TestExternalSortKernelsToggleSameCharges asserts the kernel and
-// fallback paths of the external sort charge identical simulated time
-// and I/O — the two-clock discipline: kernels change wall-clock only.
-func TestExternalSortKernelsToggleSameCharges(t *testing.T) {
-	run := func(on bool) (float64, int64, int, *record.Table) {
-		prev := record.SetKernelsEnabled(on)
-		defer record.SetKernelsEnabled(prev)
+// TestExternalSortSameChargesOnEitherPath asserts the two-clock
+// discipline on a whole multi-pass sort: the path is chosen by key
+// width, the simulated time and I/O are not. The same rows are sorted
+// twice — as generated (40-bit keys: radix runs, loser-tree merges) and
+// with the top bit of every value set (an order-preserving shift to
+// 160-bit keys: comparison runs, heap merges) — and must cost the same
+// and come out in the same order.
+func TestExternalSortSameChargesOnEitherPath(t *testing.T) {
+	t.Parallel()
+	const cols, top = 5, uint32(1) << 31
+	narrow := randomTable(42, 5000, cols, 50)
+	wide := record.New(cols, narrow.Len())
+	row := make([]uint32, cols)
+	for i := 0; i < narrow.Len(); i++ {
+		for j := range row {
+			row[j] = narrow.Dim(i, j) | top
+		}
+		wide.Append(row, narrow.Meas(i))
+	}
+	if !record.MeasureKeyPlan(narrow).Packable() || record.MeasureKeyPlan(wide).Packable() {
+		t.Fatal("test premise broken: want one packable and one unpackable input")
+	}
+	run := func(in *record.Table) (float64, int64, int, *record.Table) {
 		d := newDisk()
-		d.Put("f", randomTable(42, 5000, 4, 50))
-		rowBytes := record.RowBytes(4)
+		d.Put("f", in)
+		rowBytes := record.RowBytes(cols)
 		passes := SortBudget(d, "f", 200*rowBytes, 25*rowBytes)
 		st := d.Stats()
 		return d.Clock().Seconds(), st.BytesRead + st.BytesWritten, passes, d.MustGet("f")
 	}
-	onSec, onIO, onPasses, onOut := run(true)
-	offSec, offIO, offPasses, offOut := run(false)
-	if onSec != offSec {
-		t.Fatalf("simulated seconds differ: kernels on %v, off %v", onSec, offSec)
+	nSec, nIO, nPasses, nOut := run(narrow)
+	wSec, wIO, wPasses, wOut := run(wide)
+	if nSec != wSec {
+		t.Fatalf("simulated seconds differ: radix path %v, comparison path %v", nSec, wSec)
 	}
-	if onIO != offIO {
-		t.Fatalf("I/O bytes differ: kernels on %d, off %d", onIO, offIO)
+	if nIO != wIO {
+		t.Fatalf("I/O bytes differ: radix path %d, comparison path %d", nIO, wIO)
 	}
-	if onPasses != offPasses {
-		t.Fatalf("merge passes differ: %d vs %d", onPasses, offPasses)
+	if nPasses != wPasses || nPasses < 1 {
+		t.Fatalf("merge passes: radix path %d, comparison path %d, want equal and >= 1", nPasses, wPasses)
 	}
-	// The sorted dims must agree row for row; measures within equal-key
-	// runs may be permuted (the radix path is stable, sort.Sort is not).
-	if !onOut.IsSorted() || !offOut.IsSorted() || !sameSortedRows(onOut, offOut) {
-		t.Fatal("kernel and fallback sorts disagree on row order")
+	// The sorted dims must agree row for row once the shift is undone;
+	// measures within equal-key runs may be permuted (the radix path is
+	// stable, sort.Sort is not).
+	if !nOut.IsSorted() || !wOut.IsSorted() || wOut.Len() != nOut.Len() {
+		t.Fatal("a path produced an unsorted or short result")
 	}
-	if onOut.TotalMeasure() != offOut.TotalMeasure() {
-		t.Fatal("kernel and fallback sorts disagree on measure mass")
+	for i := 0; i < nOut.Len(); i++ {
+		for j := 0; j < cols; j++ {
+			if wOut.Dim(i, j)&^top != nOut.Dim(i, j) {
+				t.Fatalf("row %d col %d: paths disagree on row order", i, j)
+			}
+		}
+	}
+	if nOut.TotalMeasure() != wOut.TotalMeasure() {
+		t.Fatal("paths disagree on measure mass")
 	}
 }
 
 // TestMergeRunsLoserTreeMatchesHeap drives mergeRuns directly on the
 // same pre-sorted runs through both paths and requires bit-identical
-// output — the loser tree replaces the heap exactly, ties included.
+// output and identical simulated charges — the loser tree replaces the
+// heap exactly, ties included.
 func TestMergeRunsLoserTreeMatchesHeap(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
 		k := rng.Intn(7) + 2
@@ -76,6 +102,10 @@ func TestMergeRunsLoserTreeMatchesHeap(t *testing.T) {
 			t.Fatalf("trial %d (k=%d cols=%d card=%d): loser-tree merge differs from heap",
 				trial, k, cols, card)
 		}
+		if dTree.Clock().Seconds() != dHeap.Clock().Seconds() || dTree.Stats() != dHeap.Stats() {
+			t.Fatalf("trial %d: charges differ: tree %v %+v, heap %v %+v", trial,
+				dTree.Clock().Seconds(), dTree.Stats(), dHeap.Clock().Seconds(), dHeap.Stats())
+		}
 	}
 }
 
@@ -83,6 +113,7 @@ func TestMergeRunsLoserTreeMatchesHeap(t *testing.T) {
 // multi-pass external sort (6 full-width columns exceed 128 key bits)
 // and verifies the result is still a correct sort.
 func TestExternalSortUnpackableKeys(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(23))
 	n := 1200
 	tb := record.New(6, n)

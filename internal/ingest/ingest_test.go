@@ -226,44 +226,79 @@ func checkNoBatchState(t *testing.T, m *cluster.Machine) {
 	}
 }
 
-// TestIngestDeterminism asserts the PR 2/4 contract for the new
-// subsystem: the same batches applied with kernels on and off produce
-// byte-identical views and identical simulated Results.
-func TestIngestDeterminism(t *testing.T) {
-	spec := gen.Spec{N: 3600, D: 4, Cards: []int{12, 8, 5, 3}, Seed: 17}
-	cfg := core.Config{D: 4}
-	run := func(kernels bool) ([]Result, map[lattice.ViewID]*record.Table, float64) {
-		record.SetKernelsEnabled(kernels)
-		defer record.SetKernelsEnabled(true)
+// TestIngestSortPathDeterminism is the ingest-level guard for the two
+// sort/merge paths, which key width selects: the same base cube and
+// batches are applied as generated (packable keys: radix sorts,
+// loser-tree merges) and with the top bit of every value set (an
+// order-preserving shift to 32 bits per column: comparison sorts and
+// heap merges for every view of five or six dimensions). Both must
+// change the same views and leave the same contents once the shift is
+// undone. (Simulated charges are not comparable across the two — wider
+// values change modelled byte sizes; extsort's tests assert their path
+// independence.)
+func TestIngestSortPathDeterminism(t *testing.T) {
+	const top = uint32(1) << 31
+	spec := gen.Spec{N: 3600, D: 6, Cards: []int{12, 8, 5, 3, 3, 2}, Seed: 17}
+	cfg := core.Config{D: spec.D}
+	run := func(wide bool) ([]map[lattice.ViewID]bool, map[lattice.ViewID]*record.Table) {
 		g := gen.New(spec)
-		m, met := buildBase(t, g, 3000, 3, cfg)
+		table := func(lo, hi int) *record.Table {
+			tb := g.Table(lo, hi)
+			if wide {
+				for i := 0; i < tb.Len(); i++ {
+					for j, v := range tb.Row(i) {
+						tb.Row(i)[j] = v | top
+					}
+				}
+			}
+			return tb
+		}
+		const base, p = 3000, 3
+		m := cluster.New(p, costmodel.Default())
+		for r := 0; r < p; r++ {
+			m.Proc(r).Disk().Put("raw", table(r*base/p, (r+1)*base/p))
+		}
+		met, err := core.BuildCube(m, "raw", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		icfg := ingestConfig(cfg, met)
-		var results []Result
+		var changed []map[lattice.ViewID]bool
 		for _, span := range [][2]int{{3000, 3400}, {3400, 3600}} {
-			res, err := IngestBatch(m, g.Table(span[0], span[1]), icfg)
+			res, err := IngestBatch(m, table(span[0], span[1]), icfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			results = append(results, res)
+			changed = append(changed, res.Changed)
 		}
 		views := map[lattice.ViewID]*record.Table{}
-		for _, v := range lattice.AllViews(4) {
+		for _, v := range lattice.AllViews(spec.D) {
 			views[v] = gatherView(m, v)
 		}
-		return results, views, m.SimSeconds()
+		return changed, views
 	}
-	onRes, onViews, onSim := run(true)
-	offRes, offViews, offSim := run(false)
-	if !reflect.DeepEqual(onRes, offRes) {
-		t.Fatalf("Results differ kernels on/off:\non:  %+v\noff: %+v", onRes, offRes)
+	narrowChanged, narrowViews := run(false)
+	wideChanged, wideViews := run(true)
+	if !reflect.DeepEqual(narrowChanged, wideChanged) {
+		t.Fatalf("changed views differ between sort paths:\nradix:      %v\ncomparison: %v", narrowChanged, wideChanged)
 	}
-	if onSim != offSim {
-		t.Fatalf("SimSeconds differ kernels on/off: %v vs %v", onSim, offSim)
-	}
-	for v, tb := range onViews {
-		if !record.Equal(tb, offViews[v]) {
-			t.Fatalf("view %v bytes differ kernels on/off", v)
+	unpackable := 0
+	for v, narrow := range narrowViews {
+		wide := wideViews[v]
+		if !record.MeasureKeyPlan(wide).Packable() {
+			unpackable++
 		}
+		for i := 0; i < wide.Len(); i++ {
+			for j, x := range wide.Row(i) {
+				wide.Row(i)[j] = x &^ top
+			}
+		}
+		if !record.Equal(narrow, wide) {
+			t.Fatalf("view %v differs between sort paths", v)
+		}
+	}
+	if unpackable == 0 {
+		t.Fatal("test premise broken: no view of the wide run is on the comparison path")
 	}
 }
 

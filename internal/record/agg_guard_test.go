@@ -11,6 +11,7 @@ import (
 // (make lint-aggop greps the serve/merge switches; this test pins the
 // package-level contract).
 func TestAggOpsExhaustive(t *testing.T) {
+	t.Parallel()
 	ops := AggOps()
 	if len(ops) == 0 {
 		t.Fatal("AggOps is empty")
@@ -71,6 +72,7 @@ func TestAggOpsExhaustive(t *testing.T) {
 // Agg without a StateCombiner is the bare operator (identity Seal,
 // zero state bytes).
 func TestAggSealAndStateBytesAlgebraic(t *testing.T) {
+	t.Parallel()
 	a := Agg{Op: OpSum}
 	if got := a.Combine(2, 3); got != 5 {
 		t.Fatalf("Combine = %d", got)
@@ -126,6 +128,7 @@ func (f *fakeCombiner) StateBytes(h int64) int {
 // the invariant that makes emitted tables safe to store, ship, and
 // share.
 func TestAggregateSealsOnEmit(t *testing.T) {
+	t.Parallel()
 	check := func(name string, out *Table, f *fakeCombiner) {
 		t.Helper()
 		for i := 0; i < out.Len(); i++ {

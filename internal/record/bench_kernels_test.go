@@ -1,22 +1,22 @@
 package record
 
 import (
+	"sort"
 	"testing"
 )
 
 // Microbenchmarks for the packed-key kernels. Each hot-path benchmark
-// has a kernels-on and kernels-off variant so the speedup is measured
-// in one `go test -bench` run; cmd/wallbench drives the same
-// comparisons and emits machine-readable JSON.
+// has a kernel variant (the path Sort / MergeSortedAggregate take on
+// packable keys) and a comparison variant (the path for keys wider
+// than 128 bits, called directly) so the speedup is measured in one
+// `go test -bench` run.
 
 func benchTable(seed int64, n, d, card int) *Table {
 	return randomTable(seed, n, d, card)
 }
 
-func benchSort(b *testing.B, n, d, card int, on bool) {
+func benchSort(b *testing.B, n, d, card int, radix bool) {
 	b.Helper()
-	prev := SetKernelsEnabled(on)
-	defer SetKernelsEnabled(prev)
 	src := benchTable(1, n, d, card)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -24,7 +24,11 @@ func benchSort(b *testing.B, n, d, card int, on bool) {
 		b.StopTimer()
 		t := src.Clone()
 		b.StartTimer()
-		t.Sort()
+		if radix {
+			t.Sort()
+		} else {
+			sort.Sort(sorter{t})
+		}
 	}
 	b.SetBytes(int64(n * RowBytes(d)))
 }
@@ -85,10 +89,8 @@ func (r *benchRng) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-func benchMerge(b *testing.B, k, rows, d, card int, on bool) {
+func benchMerge(b *testing.B, k, rows, d, card int, tree bool) {
 	b.Helper()
-	prev := SetKernelsEnabled(on)
-	defer SetKernelsEnabled(prev)
 	tables := make([]*Table, k)
 	for i := range tables {
 		tables[i] = benchTable(int64(10+i), rows, d, card)
@@ -97,7 +99,11 @@ func benchMerge(b *testing.B, k, rows, d, card int, on bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MergeSortedAggregate(tables)
+		if tree {
+			MergeSortedAggregate(tables)
+		} else {
+			mergeSortedHeap(tables, d, k*rows, true, Agg{Op: OpSum})
+		}
 	}
 	b.SetBytes(int64(k * rows * RowBytes(d)))
 }

@@ -2,6 +2,7 @@ package record
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -44,6 +45,7 @@ func wideRandomTable(seed int64, n, d int) *Table {
 }
 
 func TestKeyPlanPackRowOrdersLikeCompare(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
 	for _, d := range []int{1, 2, 3, 4} {
 		tb := randomTable(rng.Int63(), 200, d, 1<<uint(4*d)) // up to 16 bits/col
@@ -70,6 +72,7 @@ func TestKeyPlanPackRowOrdersLikeCompare(t *testing.T) {
 }
 
 func TestKeyPlanWidePackOrdersLikeCompare(t *testing.T) {
+	t.Parallel()
 	// 5 columns of full 32-bit values: 160 bits, unpackable. 3 columns:
 	// 96 bits, wide (two-word) but packable.
 	tb := wideRandomTable(3, 300, 3)
@@ -96,6 +99,7 @@ func TestKeyPlanWidePackOrdersLikeCompare(t *testing.T) {
 }
 
 func TestPlanKeyFromCards(t *testing.T) {
+	t.Parallel()
 	kp := PlanKeyFromCards([]int{256, 2, 1, 0, 1 << 20})
 	want := []uint8{8, 1, 0, 32, 20}
 	for i, w := range want {
@@ -109,6 +113,7 @@ func TestPlanKeyFromCards(t *testing.T) {
 }
 
 func TestRadixSortMatchesStableOracle(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(99))
 	cases := []struct {
 		n, d, card int
@@ -138,6 +143,7 @@ func TestRadixSortMatchesStableOracle(t *testing.T) {
 }
 
 func TestSortFallbackWhenUnpackable(t *testing.T) {
+	t.Parallel()
 	// 10 columns of full-width values cannot pack (320 bits); Sort must
 	// still produce a correctly sorted permutation of the input.
 	tb := wideRandomTable(11, 400, 10)
@@ -151,11 +157,14 @@ func TestSortFallbackWhenUnpackable(t *testing.T) {
 	}
 }
 
-func TestSortKernelsToggle(t *testing.T) {
-	// Sorting the same duplicate-free table with kernels on and off
-	// must agree bit-for-bit (with duplicates only the dims agree;
-	// the aggregated relation is the determinism boundary, asserted
-	// end-to-end in core's TestKernelDeterminism).
+// TestRadixSortMatchesComparisonSort runs the comparison sort — the
+// path Sort takes for keys wider than 128 bits — and the radix kernel
+// on the same input. On a duplicate-free table the two must agree bit
+// for bit (with duplicate keys only the dims agree: radix is stable,
+// sort.Sort is not; the aggregated relation is the determinism
+// boundary, asserted end to end by rolap's wide-key cube test).
+func TestRadixSortMatchesComparisonSort(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(21))
 	tb := New(2, 0)
 	seen := map[uint64]bool{}
@@ -167,18 +176,22 @@ func TestSortKernelsToggle(t *testing.T) {
 			tb.Append([]uint32{a, b}, int64(rng.Intn(50)))
 		}
 	}
-	on := tb.Clone()
-	on.Sort()
-	prev := SetKernelsEnabled(false)
-	defer SetKernelsEnabled(prev)
-	off := tb.Clone()
-	off.Sort()
-	if !Equal(on, off) {
-		t.Fatal("kernels-on and kernels-off sorts disagree on duplicate-free input")
+	radix := tb.Clone()
+	radix.sortRadix(MeasureKeyPlan(radix))
+	comparison := tb.Clone()
+	sort.Sort(sorter{comparison})
+	if !Equal(radix, comparison) {
+		t.Fatal("radix and comparison sorts disagree on duplicate-free input")
+	}
+	viaSort := tb.Clone()
+	viaSort.Sort()
+	if !Equal(viaSort, radix) {
+		t.Fatal("Sort did not take the radix path's result on a packable table")
 	}
 }
 
 func TestSortEmptyAndTiny(t *testing.T) {
+	t.Parallel()
 	e := New(3, 0)
 	e.Sort()
 	if e.Len() != 0 {
@@ -199,6 +212,7 @@ func TestSortEmptyAndTiny(t *testing.T) {
 }
 
 func TestSortWithPlanFromCards(t *testing.T) {
+	t.Parallel()
 	cards := []int{256, 128, 64, 32, 16, 8, 6, 6}
 	tb := randomTable(5, 3000, 8, 6) // values < 6 fit every card
 	kp := PlanKeyFromCards(cards)
@@ -210,6 +224,7 @@ func TestSortWithPlanFromCards(t *testing.T) {
 }
 
 func TestApplyPermutation(t *testing.T) {
+	t.Parallel()
 	tb := FromRows(2, [][]uint32{{0, 0}, {1, 1}, {2, 2}, {3, 3}}, []int64{0, 1, 2, 3})
 	ApplyPermutation(tb, []uint32{3, 1, 0, 2})
 	want := FromRows(2, [][]uint32{{3, 3}, {1, 1}, {0, 0}, {2, 2}}, []int64{3, 1, 0, 2})
@@ -225,6 +240,7 @@ func TestApplyPermutation(t *testing.T) {
 }
 
 func TestLoserTreeMergeMatchesHeapOracle(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 40; trial++ {
 		k := rng.Intn(9) + 1
@@ -255,6 +271,7 @@ func TestLoserTreeMergeMatchesHeapOracle(t *testing.T) {
 }
 
 func TestLoserTreeMergeUnpackableFallsBack(t *testing.T) {
+	t.Parallel()
 	// 6 full-width columns force the heap path; output must still be a
 	// correct aggregating merge.
 	a := wideRandomTable(17, 150, 6)
@@ -271,6 +288,7 @@ func TestLoserTreeMergeUnpackableFallsBack(t *testing.T) {
 }
 
 func TestLoserTreeDirect(t *testing.T) {
+	t.Parallel()
 	// Exercise the tree structure itself for every k, including
 	// interleaved closes, against a linear-scan reference.
 	rng := rand.New(rand.NewSource(31))
@@ -335,36 +353,8 @@ func TestLoserTreeDirect(t *testing.T) {
 	}
 }
 
-func TestMergeKernelsToggleIdenticalOnDistinctKeys(t *testing.T) {
-	// With globally distinct keys (no ties beyond src ordering of equal
-	// rows), tree and heap merges are bit-identical even without
-	// aggregation.
-	rng := rand.New(rand.NewSource(77))
-	k := 5
-	tables := make([]*Table, k)
-	used := map[uint32]bool{}
-	for i := range tables {
-		tables[i] = New(1, 0)
-		for j := 0; j < 100; j++ {
-			v := uint32(rng.Intn(100000))
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			tables[i].Append([]uint32{v}, int64(v))
-		}
-		tables[i].Sort()
-	}
-	on := MergeSorted(tables)
-	prev := SetKernelsEnabled(false)
-	defer SetKernelsEnabled(prev)
-	off := MergeSorted(tables)
-	if !Equal(on, off) {
-		t.Fatal("kernel and fallback merges disagree")
-	}
-}
-
 func TestZeroColumnMergeAndPlan(t *testing.T) {
+	t.Parallel()
 	// Regression: a pure-aggregate query projects to zero group-by
 	// columns; MeasureKeyPlan must terminate on d=0 tables and the
 	// merge must collapse everything into one row.

@@ -3,29 +3,7 @@ package record
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 )
-
-// The packed-key kernels (radix sort, loser-tree merges) are pure
-// wall-clock optimizations: they produce the same sorted relations and
-// leave every simulated-time charge untouched. kernelsOn is the global
-// fallback switch; tests flip it to prove bit-identical cube output
-// with the kernels disabled (see TestKernelDeterminism), and the
-// wallbench harness flips it to measure the before/after.
-var kernelsOff atomic.Bool // zero value = kernels enabled
-
-// KernelsEnabled reports whether the packed-key kernels are active.
-func KernelsEnabled() bool { return !kernelsOff.Load() }
-
-// SetKernelsEnabled enables or disables the packed-key kernels
-// process-wide and returns the previous setting. Disabling falls every
-// sort and merge back to the comparison-based paths (sort.Sort,
-// container/heap); outputs of the aggregation pipeline are unaffected.
-func SetKernelsEnabled(on bool) bool {
-	prev := !kernelsOff.Load()
-	kernelsOff.Store(!on)
-	return prev
-}
 
 // maxKeyBits is the widest sort prefix the kernels pack: one uint64
 // for narrow prefixes, a [hi, lo] pair of uint64 for wide ones.

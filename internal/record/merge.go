@@ -45,9 +45,10 @@ func mergeSorted(tables []*Table, aggregate bool) *Table {
 	return mergeSortedAgg(tables, aggregate, Agg{Op: OpSum})
 }
 
-// mergeSortedAgg dispatches between the packed-key loser-tree kernel
-// and the comparison/heap fallback. Both produce identical output: the
-// same global order with ties broken by input index.
+// mergeSortedAgg runs the packed-key loser-tree kernel when the union
+// of the inputs' key plans packs, the comparison heap otherwise. Both
+// produce identical output: the same global order with ties broken by
+// input index.
 func mergeSortedAgg(tables []*Table, aggregate bool, agg Agg) *Table {
 	d := -1
 	total := 0
@@ -73,7 +74,7 @@ func mergeSortedAgg(tables []*Table, aggregate bool, agg Agg) *Table {
 		}
 		return New(0, 0)
 	}
-	if KernelsEnabled() && live > 1 {
+	if live > 1 {
 		kp := KeyPlan{}
 		planned := false
 		for _, t := range tables {
@@ -169,8 +170,9 @@ func mergeSortedTree(tables []*Table, d, total int, kp KeyPlan, aggregate bool, 
 	return out
 }
 
-// mergeSortedHeap is the comparison fallback (and the oracle the
-// kernel path is tested against): a container/heap of row cursors.
+// mergeSortedHeap is the comparison path for unpackable keys (and the
+// oracle the kernel path is tested against): a container/heap of row
+// cursors.
 func mergeSortedHeap(tables []*Table, d, total int, aggregate bool, agg Agg) *Table {
 	out := New(d, total)
 	h := make(mergeHeap, 0, len(tables))

@@ -14,10 +14,11 @@
 // radix.go, losertree.go): per-column bit widths pack a row into one
 // or two machine words (KeyPlan), sorting is an LSD radix sort over
 // (key, rowIdx) pairs followed by one permutation gather, and k-way
-// merges run a loser tree on packed keys. The kernels are wall-clock
-// optimizations only — every simulated-time charge and every
-// aggregated relation is identical with them disabled
-// (SetKernelsEnabled), which the determinism tests assert.
+// merges run a loser tree on packed keys. Keys wider than 128 bits
+// (and tables under radixMinRows) take the comparison sort and the
+// heap merge instead. The choice changes wall-clock time only: every
+// simulated charge is a function of row counts, and both paths produce
+// the same aggregated relation, which the in-package tests assert.
 package record
 
 import (
@@ -284,15 +285,14 @@ func (s sorter) Less(i, j int) bool { return s.t.Compare(i, j, s.t.D) < 0 }
 
 // Sort sorts the table in place lexicographically over all columns.
 //
-// When the packed-key kernels are enabled (the default; see
-// SetKernelsEnabled) and the rows pack into fixed-width integer keys
+// When the rows pack into fixed-width integer keys
 // (MeasureKeyPlan/KeyPlan), sorting runs the LSD radix kernel: pack
 // one key per row, radix sort (key, rowIdx) pairs, and reorder dims
 // and meas with a single gather (ApplyPermutation) instead of
-// O(n log n) multi-word swaps. Unpackable rows, tiny tables, and
-// kernels-off all fall back to the comparison sort. Callers charge
-// simulated time via costmodel.SortOps regardless of the path taken —
-// the kernels change wall-clock time only.
+// O(n log n) multi-word swaps. Unpackable rows and tiny tables take
+// the comparison sort. Callers charge simulated time via
+// costmodel.SortOps regardless of the path taken — the kernels change
+// wall-clock time only.
 func (t *Table) Sort() {
 	t.SortWithPlan(KeyPlan{}, false)
 }
@@ -306,7 +306,7 @@ func (t *Table) SortWithPlan(kp KeyPlan, havePlan bool) {
 	if n <= 1 {
 		return
 	}
-	if KernelsEnabled() && n >= radixMinRows && t.D > 0 {
+	if n >= radixMinRows && t.D > 0 {
 		if !havePlan {
 			kp = MeasureKeyPlan(t)
 		}

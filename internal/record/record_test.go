@@ -7,6 +7,7 @@ import (
 )
 
 func TestRowBytes(t *testing.T) {
+	t.Parallel()
 	// The paper's 2M-row, 8-dimension raw set is 72 MB => 36 bytes/row.
 	if got := RowBytes(8); got != 36 {
 		t.Fatalf("RowBytes(8) = %d, want 36", got)
@@ -17,6 +18,7 @@ func TestRowBytes(t *testing.T) {
 }
 
 func TestAppendAndAccessors(t *testing.T) {
+	t.Parallel()
 	tb := New(3, 0)
 	tb.Append([]uint32{1, 2, 3}, 10)
 	tb.Append([]uint32{4, 5, 6}, 20)
@@ -43,6 +45,7 @@ func TestAppendAndAccessors(t *testing.T) {
 }
 
 func TestAppendPanicsOnWidthMismatch(t *testing.T) {
+	t.Parallel()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on wrong row width")
@@ -52,6 +55,7 @@ func TestAppendPanicsOnWidthMismatch(t *testing.T) {
 }
 
 func TestAppendFromAndRange(t *testing.T) {
+	t.Parallel()
 	src := FromRows(2, [][]uint32{{1, 1}, {2, 2}, {3, 3}}, []int64{1, 2, 3})
 	dst := New(2, 0)
 	dst.AppendFrom(src, 1)
@@ -66,6 +70,7 @@ func TestAppendFromAndRange(t *testing.T) {
 }
 
 func TestCloneAndSubAreDeep(t *testing.T) {
+	t.Parallel()
 	src := FromRows(2, [][]uint32{{1, 1}, {2, 2}}, nil)
 	c := src.Clone()
 	c.SetMeas(0, 99)
@@ -84,6 +89,7 @@ func TestCloneAndSubAreDeep(t *testing.T) {
 }
 
 func TestProject(t *testing.T) {
+	t.Parallel()
 	src := FromRows(3, [][]uint32{{1, 2, 3}, {4, 5, 6}}, []int64{7, 8})
 	p := src.Project([]int{2, 0})
 	if p.D != 2 || p.Len() != 2 {
@@ -98,6 +104,7 @@ func TestProject(t *testing.T) {
 }
 
 func TestSortAndIsSorted(t *testing.T) {
+	t.Parallel()
 	tb := FromRows(2, [][]uint32{{3, 1}, {1, 2}, {1, 1}, {2, 9}}, nil)
 	if tb.IsSorted() {
 		t.Fatal("unsorted table reported sorted")
@@ -115,6 +122,7 @@ func TestSortAndIsSorted(t *testing.T) {
 }
 
 func TestAggregateSorted(t *testing.T) {
+	t.Parallel()
 	tb := FromRows(3, [][]uint32{
 		{1, 1, 5},
 		{1, 1, 6},
@@ -138,6 +146,7 @@ func TestAggregateSorted(t *testing.T) {
 }
 
 func TestAggregateSortedEmpty(t *testing.T) {
+	t.Parallel()
 	agg := AggregateSorted(New(3, 0), 2)
 	if agg.Len() != 0 {
 		t.Fatalf("want empty, got %d rows", agg.Len())
@@ -145,6 +154,7 @@ func TestAggregateSortedEmpty(t *testing.T) {
 }
 
 func TestSortAggregateMatchesHashGroupBy(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(42))
 	tb := New(3, 0)
 	truth := map[[3]uint32]int64{}
@@ -170,6 +180,7 @@ func TestSortAggregateMatchesHashGroupBy(t *testing.T) {
 }
 
 func TestCompareKeys(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		a, b []uint32
 		want int
@@ -189,6 +200,7 @@ func TestCompareKeys(t *testing.T) {
 }
 
 func TestBounds(t *testing.T) {
+	t.Parallel()
 	tb := FromRows(2, [][]uint32{{1, 1}, {1, 3}, {2, 0}, {2, 0}, {3, 5}}, nil)
 	if got := LowerBound(tb, []uint32{2, 0}); got != 2 {
 		t.Fatalf("LowerBound = %d, want 2", got)
@@ -206,6 +218,7 @@ func TestBounds(t *testing.T) {
 }
 
 func TestMergeSorted(t *testing.T) {
+	t.Parallel()
 	a := FromRows(2, [][]uint32{{1, 1}, {3, 3}}, []int64{1, 3})
 	b := FromRows(2, [][]uint32{{2, 2}, {4, 4}}, []int64{2, 4})
 	m := MergeSorted([]*Table{a, b})
@@ -218,6 +231,7 @@ func TestMergeSorted(t *testing.T) {
 }
 
 func TestMergeSortedAggregate(t *testing.T) {
+	t.Parallel()
 	a := FromRows(2, [][]uint32{{1, 1}, {2, 2}}, []int64{1, 2})
 	b := FromRows(2, [][]uint32{{1, 1}, {3, 3}}, []int64{10, 3})
 	m := MergeSortedAggregate([]*Table{a, b})
@@ -230,6 +244,7 @@ func TestMergeSortedAggregate(t *testing.T) {
 }
 
 func TestMergeSortedAllEmpty(t *testing.T) {
+	t.Parallel()
 	m := MergeSorted([]*Table{New(3, 0), New(3, 0)})
 	if m.Len() != 0 || m.D != 3 {
 		t.Fatalf("want empty 3-col table, got %v", m)
@@ -256,6 +271,7 @@ func randomTable(seed int64, n, d, card int) *Table {
 }
 
 func TestQuickSortIsPermutation(t *testing.T) {
+	t.Parallel()
 	f := func(seed int64, n8 uint8, d3 uint8) bool {
 		n := int(n8)
 		d := int(d3%4) + 1
@@ -293,6 +309,7 @@ func TestQuickSortIsPermutation(t *testing.T) {
 }
 
 func TestQuickMergeEqualsSortConcat(t *testing.T) {
+	t.Parallel()
 	f := func(seed int64, n1, n2 uint8) bool {
 		a := randomTable(seed, int(n1), 3, 5)
 		b := randomTable(seed+1, int(n2), 3, 5)
@@ -315,6 +332,7 @@ func TestQuickMergeEqualsSortConcat(t *testing.T) {
 }
 
 func TestQuickAggregatePreservesMass(t *testing.T) {
+	t.Parallel()
 	f := func(seed int64, n8 uint8, kRaw uint8) bool {
 		d := 4
 		tb := randomTable(seed, int(n8)+1, d, 3)
@@ -338,6 +356,7 @@ func TestQuickAggregatePreservesMass(t *testing.T) {
 }
 
 func TestStringElides(t *testing.T) {
+	t.Parallel()
 	tb := randomTable(1, 100, 2, 4)
 	s := tb.String()
 	if len(s) == 0 || len(s) > 2000 {
@@ -346,6 +365,7 @@ func TestStringElides(t *testing.T) {
 }
 
 func TestAggOpCombine(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		op      AggOp
 		a, b, w int64
@@ -367,6 +387,7 @@ func TestAggOpCombine(t *testing.T) {
 }
 
 func TestAggregateSortedOpMinMax(t *testing.T) {
+	t.Parallel()
 	tb := FromRows(2, [][]uint32{{1, 1}, {1, 1}, {1, 1}, {2, 2}}, []int64{5, 2, 9, 4})
 	min := AggregateSortedOp(tb, 2, OpMin)
 	if min.Meas(0) != 2 || min.Meas(1) != 4 {
@@ -379,6 +400,7 @@ func TestAggregateSortedOpMinMax(t *testing.T) {
 }
 
 func TestMergeSortedAggregateOp(t *testing.T) {
+	t.Parallel()
 	a := FromRows(1, [][]uint32{{1}}, []int64{7})
 	b := FromRows(1, [][]uint32{{1}, {2}}, []int64{3, 5})
 	m := MergeSortedAggregateOp([]*Table{a, b}, OpMin)
@@ -388,6 +410,7 @@ func TestMergeSortedAggregateOp(t *testing.T) {
 }
 
 func TestQuickAggOpsAssociative(t *testing.T) {
+	t.Parallel()
 	f := func(vals []int64, opRaw uint8) bool {
 		if len(vals) == 0 {
 			return true
@@ -420,6 +443,7 @@ func TestQuickAggOpsAssociative(t *testing.T) {
 }
 
 func TestResetKeepsCapacity(t *testing.T) {
+	t.Parallel()
 	tb := randomTable(1, 50, 2, 4)
 	tb.Reset()
 	if tb.Len() != 0 {
@@ -432,6 +456,7 @@ func TestResetKeepsCapacity(t *testing.T) {
 }
 
 func TestFromRowsPanicsOnWidth(t *testing.T) {
+	t.Parallel()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -441,6 +466,7 @@ func TestFromRowsPanicsOnWidth(t *testing.T) {
 }
 
 func TestProjectPanicsOnBadColumn(t *testing.T) {
+	t.Parallel()
 	tb := randomTable(1, 5, 2, 4)
 	defer func() {
 		if recover() == nil {
@@ -451,6 +477,7 @@ func TestProjectPanicsOnBadColumn(t *testing.T) {
 }
 
 func TestNewPanicsOnNegativeColumns(t *testing.T) {
+	t.Parallel()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -460,6 +487,7 @@ func TestNewPanicsOnNegativeColumns(t *testing.T) {
 }
 
 func TestAppendFromPanicsOnMismatch(t *testing.T) {
+	t.Parallel()
 	a, b := New(2, 0), randomTable(1, 3, 3, 4)
 	defer func() {
 		if recover() == nil {
@@ -470,6 +498,7 @@ func TestAppendFromPanicsOnMismatch(t *testing.T) {
 }
 
 func TestMergeMismatchedColumnsPanics(t *testing.T) {
+	t.Parallel()
 	a := randomTable(1, 3, 2, 4)
 	b := randomTable(2, 3, 3, 4)
 	a.Sort()
@@ -483,6 +512,7 @@ func TestMergeMismatchedColumnsPanics(t *testing.T) {
 }
 
 func TestEqualDetectsDifferences(t *testing.T) {
+	t.Parallel()
 	a := FromRows(2, [][]uint32{{1, 2}}, []int64{3})
 	if !Equal(a, a.Clone()) {
 		t.Fatal("clone not equal")
@@ -503,6 +533,7 @@ func TestEqualDetectsDifferences(t *testing.T) {
 }
 
 func TestAggregateOpWrongWidthPanics(t *testing.T) {
+	t.Parallel()
 	tb := randomTable(1, 5, 3, 4)
 	tb.Sort()
 	defer func() {
@@ -514,6 +545,7 @@ func TestAggregateOpWrongWidthPanics(t *testing.T) {
 }
 
 func TestCombineUnknownOpPanics(t *testing.T) {
+	t.Parallel()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

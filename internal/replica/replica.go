@@ -70,8 +70,7 @@ type Batch struct {
 	Rows [][]uint32
 	Meas []int64
 	// Bytes is the modelled on-wire size of the batch, fixed at Commit:
-	// the columnar compressed image when the columnar store is enabled,
-	// the row-format size otherwise.
+	// its columnar compressed image.
 	Bytes int
 }
 
@@ -176,6 +175,8 @@ type rep struct {
 	node        Node
 	applied     uint64
 	down        bool
+	booting     bool   // a Bootstrap from the snapshot at bootSeq is in flight
+	bootSeq     uint64 // the delta log past it must outlive the bootstrap
 	failed      bool
 	inflight    int
 	routed      int64
@@ -319,9 +320,8 @@ func (g *Group) Commit(rows [][]uint32, meas []int64) uint64 {
 	return g.leaderSeq
 }
 
-// batchBytes models one delta batch's on-wire size: the columnar
-// compressed image when the columnar store is enabled, the row-format
-// size otherwise. Deterministic — the same rows always cost the same
+// batchBytes models one delta batch's on-wire size: its columnar
+// compressed image. Deterministic — the same rows always cost the same
 // bytes, so ship-byte totals are reproducible across runs.
 func batchBytes(rows [][]uint32, meas []int64) int {
 	if len(rows) == 0 {
@@ -331,17 +331,16 @@ func batchBytes(rows [][]uint32, meas []int64) int {
 	for i, r := range rows {
 		t.Append(r, meas[i])
 	}
-	if colstore.Enabled() {
-		return colstore.Encode(t).Bytes()
-	}
-	return t.Bytes()
+	return colstore.Encode(t).Bytes()
 }
 
 // SetSnapshot installs a fresh bootstrap snapshot taken at batch
 // sequence seq and compacts the delta log: entries every running
 // replica has already applied (and that the snapshot supersedes for
 // re-bootstraps) are dropped. Down replicas restart from this snapshot
-// instead of replaying from the beginning.
+// instead of replaying from the beginning; one whose bootstrap from an
+// older snapshot is in flight keeps the log it will replay, so it never
+// comes up stranded behind a compacted log.
 func (g *Group) SetSnapshot(snapshot []byte, seq uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -353,6 +352,9 @@ func (g *Group) SetSnapshot(snapshot []byte, seq uint64) {
 	for _, r := range g.reps {
 		if !r.down && !r.failed && r.node != nil && r.applied < min {
 			min = r.applied
+		}
+		if r.booting && r.bootSeq < min {
+			min = r.bootSeq
 		}
 	}
 	drop := 0
@@ -749,9 +751,11 @@ func (g *Group) ship(i int) {
 			// snapSeq+1 replays through the normal apply path below.
 			snap, seq := g.snapshot, g.snapSeq
 			r.down, r.node = true, nil
+			r.booting, r.bootSeq = true, seq
 			g.mu.Unlock()
 			node, err := g.cfg.Bootstrap(snap)
 			g.mu.Lock()
+			r.booting = false
 			if err != nil || node == nil {
 				// A snapshot that cannot be loaded will not load next
 				// time either: retire the replica instead of spinning.

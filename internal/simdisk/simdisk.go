@@ -107,24 +107,19 @@ func (d *Disk) PutSlice(name string, s *colstore.Slice) {
 // already charged the (larger) row-format write, so sealing charges
 // only the encode's compute scan — a conservative upper bound on total
 // I/O — and every subsequent read of the file pays compressed bytes.
-// It reports whether the file is sealed afterwards: a no-op returning
-// false when the columnar store is disabled, true without charge if
-// already sealed. Panics if the file does not exist.
-func (d *Disk) Seal(name string) bool {
+// Sealing an already sealed file is free. Panics if the file does not
+// exist.
+func (d *Disk) Seal(name string) {
 	f, ok := d.files[name]
 	if !ok {
 		panic(fmt.Sprintf("simdisk: file %q does not exist", name))
 	}
-	if !colstore.Enabled() {
-		return f.slice() != nil
-	}
 	if f.slice() != nil {
-		return true
+		return
 	}
 	s := colstore.Encode(f.st.Table())
 	d.clock.AddCompute(costmodel.ScanOps(s.Len()))
 	f.st = s
-	return true
 }
 
 // Sealed reports whether the named file is stored columnar. Missing

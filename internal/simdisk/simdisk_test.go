@@ -296,9 +296,7 @@ func TestSealCompressesAndRoundTrips(t *testing.T) {
 	if d.Sealed("f") {
 		t.Fatal("fresh Put reported sealed")
 	}
-	if !d.Seal("f") {
-		t.Fatal("Seal failed with colstore enabled")
-	}
+	d.Seal("f")
 	if !d.Sealed("f") {
 		t.Fatal("Sealed false after Seal")
 	}
@@ -406,19 +404,6 @@ func TestTakeSealedReturnsFreshDecode(t *testing.T) {
 	}
 }
 
-func TestSealDisabledIsNoOp(t *testing.T) {
-	prev := colstore.SetEnabled(false)
-	defer colstore.SetEnabled(prev)
-	d := newDisk()
-	d.Put("f", sortedTable(200))
-	if d.Seal("f") {
-		t.Fatal("Seal sealed with colstore disabled")
-	}
-	if d.Sealed("f") {
-		t.Fatal("file sealed with colstore disabled")
-	}
-}
-
 func TestPutSlice(t *testing.T) {
 	d := newDisk()
 	src := sortedTable(400)
@@ -441,8 +426,9 @@ func TestSealIdempotent(t *testing.T) {
 	d.Put("f", sortedTable(200))
 	d.Seal("f")
 	before := d.Stats()
-	if !d.Seal("f") {
-		t.Fatal("second Seal returned false")
+	d.Seal("f")
+	if !d.Sealed("f") {
+		t.Fatal("second Seal unsealed the file")
 	}
 	if d.Stats() != before {
 		t.Fatal("second Seal charged I/O")

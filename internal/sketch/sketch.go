@@ -11,8 +11,8 @@
 // Both sketch kinds are order-insensitive monoids: the state is a pure
 // function of the absorbed multiset, independent of insertion order
 // and merge tree shape. That property is what makes the distributed
-// build deterministic — the kernels-on and kernels-off execution paths
-// visit runs in different orders, yet seal bit-identical blobs.
+// build deterministic — the radix/loser-tree and comparison/heap
+// paths visit runs in different orders, yet seal bit-identical blobs.
 package sketch
 
 // Kind selects which holistic measure a store's sketches track. A

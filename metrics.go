@@ -21,8 +21,7 @@ type Metrics struct {
 	MergeBytes int64
 	// OutputRows and OutputBytes size the materialized cube in row
 	// format; OutputBytesStored is the modelled on-disk footprint after
-	// columnar compression (equal to OutputBytes when the columnar
-	// store is disabled).
+	// columnar compression.
 	OutputRows        int64
 	OutputBytes       int64
 	OutputBytesStored int64
@@ -118,8 +117,7 @@ type ReplicaSetStats struct {
 	// SnapshotShipBytes totals the snapshot bytes shipped to bootstrap
 	// replicas (initial bootstraps plus crash-recovery re-bootstraps);
 	// DeltaShipBytes totals the modelled on-wire bytes of shipped delta
-	// batches. Both shrink when the columnar store is enabled: snapshots
-	// ship as persist-v3 columnar images and delta batches ship
+	// batches: snapshots ship as columnar images and delta batches ship
 	// compressed.
 	SnapshotShipBytes int64
 	DeltaShipBytes    int64

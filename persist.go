@@ -2,6 +2,7 @@ package rolap
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -18,27 +19,20 @@ import (
 )
 
 // savedCube is the gob-serialized form of a cube: the schema, the
-// dictionaries, and every materialized view gathered into flat arrays.
-// This is the "pre-computation" deployment the paper motivates: build
-// the cube once on the cluster, persist it, and serve OLAP queries
-// from the loaded copy.
+// dictionaries, every materialized view, and what a loaded cube needs
+// to keep serving and ingesting like the original — the hardware model
+// and iceberg threshold, the per-view version counters for cache keys,
+// and any facts buffered but not yet applied at save time. This is the
+// "pre-computation" deployment the paper motivates: build the cube
+// once on the cluster, persist it, and serve OLAP queries from the
+// loaded copy.
 //
-// Version 2 additionally records what a loaded cube needs to keep
-// serving and ingesting like the original: the hardware model and
-// iceberg threshold, the per-view version counters for cache keys, and
-// any facts buffered but not yet applied at save time. Version 1
-// snapshots still load (the new fields default to zero); they serve
-// queries but reject ingest, since a v1 snapshot cannot prove it was
-// not an iceberg cube.
-//
-// Version 3 stores each view as its per-rank columnar compressed
-// slices (internal/colstore) instead of flat row arrays: files shrink
-// by the compression ratio, and loading places each slice on its rank
-// as an opaque block handle — no decode, no re-cut — so
+// Each view is stored as its per-rank columnar compressed slices
+// (internal/colstore): loading places each slice on its rank as an
+// opaque block handle — no decode, no re-cut — so
 // cold-load-to-first-query skips the row materialization entirely.
-// Version 3 is written only while the columnar store is enabled;
-// disabling it (colstore.SetEnabled(false)) writes exact v2 files.
-// v1/v2 files still load under v3 code.
+// There is one format; Version exists so a loader can refuse anything
+// else (ErrUnsupportedSnapshot).
 type savedCube struct {
 	Version    int
 	Dimensions []Dimension
@@ -47,7 +41,6 @@ type savedCube struct {
 	Metrics    Metrics
 	Views      []savedView
 
-	// v2 fields.
 	Hardware     int
 	MinSupport   int64
 	ViewVersions map[uint32]uint64
@@ -60,7 +53,7 @@ type savedCube struct {
 	// sketch handles and stay valid verbatim because Import reinstalls
 	// each blob at the exact slot it was exported from. Sums[i] is
 	// Blobs[i]'s FNV-1a checksum, verified at load. Absent (zero) on
-	// algebraic cubes and on files written before this section existed.
+	// algebraic cubes.
 	SketchKind           int
 	SketchFMBitmaps      int
 	SketchExactThreshold int
@@ -74,11 +67,8 @@ type savedCube struct {
 type savedView struct {
 	View  uint32
 	Order []int
-	// Dims/Meas hold the flat row form (v1/v2).
-	Dims []uint32
-	Meas []int64
-	// Ranks/Slices hold the v3 columnar form: Slices[i] is the sealed
-	// slice of machine rank Ranks[i]. Parallel arrays rather than a
+	// Slices[i] is the sealed slice of machine rank Ranks[i]; a view
+	// with no rows has none. Parallel arrays rather than a
 	// rank-indexed slice because gob cannot encode nil pointers inside
 	// a slice; only present ranks are stored. Sums[i] is Slices[i]'s
 	// payload checksum, verified at load: structural validation alone
@@ -88,10 +78,12 @@ type savedView struct {
 	Sums   []uint64
 }
 
-const (
-	savedCubeVersion         = 2
-	savedCubeVersionColumnar = 3
-)
+// savedCubeVersion is the only snapshot format written and read.
+const savedCubeVersion = 3
+
+// ErrUnsupportedSnapshot is wrapped by LoadCube's error when the
+// stream decodes but is not a format-3 snapshot.
+var ErrUnsupportedSnapshot = errors.New("rolap: unsupported snapshot version")
 
 // Save serializes the cube (schema, dictionaries, metrics, every
 // materialized view, and any buffered facts) so it can be reloaded
@@ -115,13 +107,8 @@ func (c *Cube) Save(w io.Writer) error {
 // facts will arrive at the replica later as part of a shipped batch
 // and must not be double counted.
 func (c *Cube) saveLocked(w io.Writer, includePending bool) error {
-	columnar := colstore.Enabled()
-	version := savedCubeVersion
-	if columnar {
-		version = savedCubeVersionColumnar
-	}
 	sc := savedCube{
-		Version:    version,
+		Version:    savedCubeVersion,
 		Dimensions: c.in.schema.Dimensions,
 		Dicts:      c.in.dicts,
 		Op:         int(c.op),
@@ -144,13 +131,11 @@ func (c *Cube) saveLocked(w io.Writer, includePending bool) error {
 		}
 	}
 	snapshot := func() error {
-		if c.engine != nil {
-			sc.ViewVersions = map[uint32]uint64{}
-			for v, ver := range c.engine.Versions() {
-				sc.ViewVersions[uint32(v)] = ver
-			}
+		sc.ViewVersions = map[uint32]uint64{}
+		for v, ver := range c.engine.Versions() {
+			sc.ViewVersions[uint32(v)] = ver
 		}
-		if includePending && c.pending != nil {
+		if includePending {
 			for i := 0; i < c.pending.Len(); i++ {
 				sc.PendingDims = append(sc.PendingDims, c.pending.Row(i)...)
 				sc.PendingMeas = append(sc.PendingMeas, c.pending.Meas(i))
@@ -158,41 +143,26 @@ func (c *Cube) saveLocked(w io.Writer, includePending bool) error {
 		}
 		for _, v := range c.views {
 			sv := savedView{View: uint32(v), Order: c.orders[v]}
-			if columnar {
-				// v3: gather the sealed per-rank slices as-is — the file
-				// carries the compressed block images and their placement.
-				if c.machine != nil {
-					name := core.ViewFile(v)
-					for r := 0; r < c.machine.P(); r++ {
-						disk := c.machine.Proc(r).Disk()
-						if !disk.Has(name) || disk.Len(name) == 0 {
-							continue
-						}
-						disk.Seal(name)
-						s, _ := disk.GetSlice(name)
-						sv.Ranks = append(sv.Ranks, r)
-						sv.Slices = append(sv.Slices, s)
-						sv.Sums = append(sv.Sums, s.Checksum())
-					}
-				} else if t := c.cache[v]; t != nil && t.Len() > 0 {
-					s := colstore.Encode(t)
-					sv.Ranks = append(sv.Ranks, 0)
-					sv.Slices = append(sv.Slices, s)
-					sv.Sums = append(sv.Sums, s.Checksum())
+			// Gather the sealed per-rank slices as-is — the file carries
+			// the compressed block images and their placement.
+			name := core.ViewFile(v)
+			for r := 0; r < c.machine.P(); r++ {
+				disk := c.machine.Proc(r).Disk()
+				if !disk.Has(name) || disk.Len(name) == 0 {
+					continue
 				}
-				collectHandles(c.gatherViewRaw(v))
-				sc.Views = append(sc.Views, sv)
-				continue
+				disk.Seal(name)
+				s, _ := disk.GetSlice(name)
+				sv.Ranks = append(sv.Ranks, r)
+				sv.Slices = append(sv.Slices, s)
+				sv.Sums = append(sv.Sums, s.Checksum())
 			}
-			rows := c.gatherViewRaw(v)
-			collectHandles(rows)
-			n := rows.Len()
-			sv.Dims = make([]uint32, 0, n*rows.D)
-			sv.Meas = make([]int64, 0, n)
-			for i := 0; i < n; i++ {
-				sv.Dims = append(sv.Dims, rows.Row(i)...)
-				sv.Meas = append(sv.Meas, rows.Meas(i))
-			}
+			// The row gather is needed only for the sketch handles of a
+			// holistic cube, but runs (and charges its read) on every
+			// cube: it also fills each slice's decode cache, which the
+			// first scans after a Save hit warm. Known accident — see
+			// DESIGN.md §4f; it goes with the row decode it hides.
+			collectHandles(c.gatherViewRaw(v))
 			sc.Views = append(sc.Views, sv)
 		}
 		return nil
@@ -200,13 +170,7 @@ func (c *Cube) saveLocked(w io.Writer, includePending bool) error {
 	// One maintenance section across every view: holding ingMu alone is
 	// not enough, because the per-view gathers would otherwise
 	// interleave with an engine-level slice replacement.
-	var err error
-	if c.engine != nil {
-		err = c.engine.Maintain(snapshot)
-	} else {
-		err = snapshot()
-	}
-	if err != nil {
+	if err := c.engine.Maintain(snapshot); err != nil {
 		return err
 	}
 	if c.sketch != nil {
@@ -243,12 +207,6 @@ func blobSum(b []byte) uint64 {
 // processors' disks, without entering the engine's maintenance section
 // (Maintain is not reentrant; saveLocked already holds it).
 func (c *Cube) gatherViewRaw(v lattice.ViewID) *record.Table {
-	if c.machine == nil {
-		if t := c.cache[v]; t != nil {
-			return t
-		}
-		return record.New(v.Count(), 0)
-	}
 	rows := record.New(v.Count(), 0)
 	for r := 0; r < c.machine.P(); r++ {
 		if t, ok := c.machine.Proc(r).Disk().Get(core.ViewFile(v)); ok {
@@ -259,21 +217,26 @@ func (c *Cube) gatherViewRaw(v lattice.ViewID) *record.Table {
 }
 
 // LoadCube deserializes a cube written by Save and rehydrates the full
-// query-side state the original had: the views are re-scattered over a
-// simulated machine of the saved size (aligned with each partition
-// root's slice boundaries, so later ingest batches merge exactly like
-// on the original), the distributed query engine and its planning row
-// counts are rebuilt, view version counters resume where they left
-// off, and buffered facts are restored. The result answers View,
-// Aggregate, GroupBy and RangeAggregate exactly like the original and
-// (for v2 snapshots of non-iceberg cubes) accepts Ingest.
+// query-side state the original had: every view slice is validated and
+// placed on its saved rank of a simulated machine of the saved size
+// (so later ingest batches merge exactly like on the original), the
+// distributed query engine and its planning row counts are rebuilt,
+// view version counters resume where they left off, and buffered facts
+// are restored. The result answers View, Aggregate, GroupBy and
+// RangeAggregate exactly like the original and (unless it is an
+// iceberg cube) accepts Ingest.
+//
+// The stream is untrusted: anything but a format-3 snapshot is
+// rejected with ErrUnsupportedSnapshot, damaged blocks with an error
+// wrapping colstore.ErrCorrupt, and inconsistent metadata with a plain
+// error — never a panic, never a silently wrong cube.
 func LoadCube(r io.Reader) (*Cube, error) {
 	var sc savedCube
 	if err := gob.NewDecoder(r).Decode(&sc); err != nil {
 		return nil, fmt.Errorf("rolap: loading cube: %w", err)
 	}
-	if sc.Version < 1 || sc.Version > savedCubeVersionColumnar {
-		return nil, fmt.Errorf("rolap: unsupported cube version %d", sc.Version)
+	if sc.Version != savedCubeVersion {
+		return nil, fmt.Errorf("%w %d (want %d)", ErrUnsupportedSnapshot, sc.Version, savedCubeVersion)
 	}
 	in, err := NewInput(Schema{Dimensions: sc.Dimensions})
 	if err != nil {
@@ -283,8 +246,8 @@ func LoadCube(r io.Reader) (*Cube, error) {
 	d := len(sc.Dimensions)
 
 	p := sc.Metrics.Processors
-	if p < 1 {
-		p = 1
+	if p < 1 || p > maxProcessors {
+		return nil, fmt.Errorf("rolap: saved processor count %d out of range", p)
 	}
 	params := costmodel.Default()
 	if Hardware(sc.Hardware) == ModernCluster {
@@ -303,8 +266,7 @@ func LoadCube(r io.Reader) (*Cube, error) {
 			Hardware:   Hardware(sc.Hardware),
 			MinSupport: sc.MinSupport,
 		},
-		loadedV1: sc.Version == 1,
-		pending:  record.New(d, 0),
+		pending: record.New(d, 0),
 	}
 	switch record.AggOp(sc.Op) {
 	case record.OpSum:
@@ -344,74 +306,45 @@ func LoadCube(r io.Reader) (*Cube, error) {
 		c.opts.SketchArenaBudget = sc.SketchArenaBudget
 	}
 
-	tables := map[lattice.ViewID]*record.Table{}
-	columnar := map[lattice.ViewID]bool{}
 	for _, sv := range sc.Views {
 		v := lattice.ViewID(sv.View)
-		if len(sv.Ranks) > 0 || len(sv.Slices) > 0 {
-			// v3 columnar view: validate each block and place it on its
-			// saved rank as an opaque compressed handle — no decode.
-			if len(sv.Ranks) != len(sv.Slices) {
-				return nil, fmt.Errorf("rolap: corrupt saved view %v: %d ranks, %d slices", v, len(sv.Ranks), len(sv.Slices))
-			}
-			for i, s := range sv.Slices {
-				r := sv.Ranks[i]
-				if r < 0 || r >= p || s == nil {
-					return nil, fmt.Errorf("rolap: corrupt saved view %v: bad rank %d", v, r)
-				}
-				if err := s.Validate(); err != nil {
-					return nil, fmt.Errorf("rolap: saved view %v: %w", v, err)
-				}
-				if i < len(sv.Sums) && s.Checksum() != sv.Sums[i] {
-					return nil, fmt.Errorf("rolap: saved view %v block %d: %w: checksum mismatch", v, i, colstore.ErrCorrupt)
-				}
-				if s.D() != len(sv.Order) {
-					return nil, fmt.Errorf("rolap: corrupt saved view %v: slice has %d columns, order has %d", v, s.D(), len(sv.Order))
-				}
-				m.Proc(r).Disk().PutSlice(core.ViewFile(v), s)
-			}
-			c.views = append(c.views, v)
-			c.orders[v] = lattice.Order(sv.Order)
-			columnar[v] = true
-			continue
+		order := lattice.Order(sv.Order)
+		if _, dup := c.orders[v]; dup {
+			return nil, fmt.Errorf("rolap: corrupt snapshot: view %v saved twice", v)
 		}
-		dv := len(sv.Order)
-		if dv > 0 && len(sv.Dims) != len(sv.Meas)*dv {
-			return nil, fmt.Errorf("rolap: corrupt saved view %v", v)
+		if !v.SubsetOf(lattice.Full(d)) || !isPermutationOf(order, v) {
+			return nil, fmt.Errorf("rolap: corrupt snapshot: order %v is not a permutation of the dimensions of view %v (d=%d)", sv.Order, v, d)
 		}
-		t := record.New(dv, len(sv.Meas))
-		for i := range sv.Meas {
-			t.Append(sv.Dims[i*dv:(i+1)*dv], sv.Meas[i])
+		if len(sv.Ranks) != len(sv.Slices) || len(sv.Sums) != len(sv.Slices) {
+			return nil, fmt.Errorf("rolap: saved view %v: %w: %d ranks, %d slices, %d checksums",
+				v, colstore.ErrCorrupt, len(sv.Ranks), len(sv.Slices), len(sv.Sums))
+		}
+		// Validate each block and place it on its saved rank as an opaque
+		// compressed handle — no decode.
+		for i, s := range sv.Slices {
+			r := sv.Ranks[i]
+			if r < 0 || r >= p || s == nil || m.Proc(r).Disk().Has(core.ViewFile(v)) {
+				return nil, fmt.Errorf("rolap: corrupt saved view %v: bad rank %d", v, r)
+			}
+			if err := s.Validate(); err != nil {
+				return nil, fmt.Errorf("rolap: saved view %v: %w", v, err)
+			}
+			if s.Checksum() != sv.Sums[i] {
+				return nil, fmt.Errorf("rolap: saved view %v block %d: %w: checksum mismatch", v, i, colstore.ErrCorrupt)
+			}
+			if s.D() != len(order) {
+				return nil, fmt.Errorf("rolap: corrupt saved view %v: slice has %d columns, order has %d", v, s.D(), len(order))
+			}
+			m.Proc(r).Disk().PutSlice(core.ViewFile(v), s)
 		}
 		c.views = append(c.views, v)
-		c.orders[v] = lattice.Order(sv.Order)
-		tables[v] = t
+		c.orders[v] = order
 	}
 	if len(sc.PendingDims) != len(sc.PendingMeas)*d {
 		return nil, fmt.Errorf("rolap: corrupt saved pending buffer")
 	}
 	for i := range sc.PendingMeas {
 		c.pending.Append(sc.PendingDims[i*d:(i+1)*d], sc.PendingMeas[i])
-	}
-
-	// Scatter each view over the machine. Views whose partition root is
-	// materialized are cut at the root's slice boundaries (each rank
-	// owns the rows whose key prefix falls in its root key range — the
-	// alignment invariant incremental merges rely on); the rest are cut
-	// evenly. Either way the concatenation over ranks is the view's
-	// global sorted order, so distributed queries, gathers, and later
-	// batches behave exactly like on the never-saved original.
-	for _, v := range c.views {
-		if columnar[v] {
-			continue // already placed rank-by-rank above
-		}
-		t := tables[v]
-		cuts := sliceCuts(v, t, c.orders, tables, d, p)
-		for r := 0; r < p; r++ {
-			if cuts[r+1] > cuts[r] {
-				m.Proc(r).Disk().Put(core.ViewFile(v), t.Sub(cuts[r], cuts[r+1]))
-			}
-		}
 	}
 
 	// Planning row counts are derived from the placed storage, not
@@ -435,37 +368,15 @@ func LoadCube(r io.Reader) (*Cube, error) {
 	return c, nil
 }
 
-// sliceCuts returns the p+1 row offsets that split view v's global
-// table into per-rank slices. When v's partition root is materialized
-// and v's order is a prefix of the root's, rank r's slice holds the
-// rows whose (truncated) key is ≤ the last key of the root's rank-r
-// slice; the root itself gets exactly even cuts from the same rule
-// (its keys are unique), so prefix views stay boundary-aligned with
-// their root. Otherwise cuts are even.
-func sliceCuts(v lattice.ViewID, t *record.Table, orders map[lattice.ViewID]lattice.Order, tables map[lattice.ViewID]*record.Table, d, p int) []int {
-	n := t.Len()
-	cuts := make([]int, p+1)
-	cuts[p] = n
-
-	root := lattice.Root(lattice.PartitionOf(v, d), d)
-	rootT, ok := tables[root]
-	rootOrder, okOrd := orders[root]
-	if ok && okOrd && orders[v].IsPrefixOf(rootOrder) && rootT.Len() > 0 {
-		rn := rootT.Len()
-		cols := len(orders[v])
-		for r := 1; r < p; r++ {
-			idx := r * rn / p
-			if idx == 0 {
-				cuts[r] = 0
-				continue
-			}
-			key := rootT.RowCopy(idx - 1)[:cols]
-			cuts[r] = record.UpperBound(t, key)
+// isPermutationOf reports whether o lists each dimension of v exactly
+// once and nothing else.
+func isPermutationOf(o lattice.Order, v lattice.ViewID) bool {
+	var seen lattice.ViewID
+	for _, i := range o {
+		if !v.Has(i) || seen.Has(i) {
+			return false
 		}
-		return cuts
+		seen = seen.Add(i)
 	}
-	for r := 1; r < p; r++ {
-		cuts[r] = r * n / p
-	}
-	return cuts
+	return seen == v
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/lattice"
+	"repro/internal/record"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -105,19 +106,6 @@ func loadedDecode(c *Cube, dim string, code uint32) string {
 	return c.in.Decode(dim, code)
 }
 
-func TestLoadCubeErrors(t *testing.T) {
-	if _, err := LoadCube(strings.NewReader("not a gob")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(savedCube{Version: 99}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCube(&buf); err == nil {
-		t.Fatal("future version accepted")
-	}
-}
-
 // saveLoad round-trips a cube through the gob snapshot.
 func saveLoad(t *testing.T, c *Cube) *Cube {
 	t.Helper()
@@ -134,8 +122,7 @@ func saveLoad(t *testing.T, c *Cube) *Cube {
 
 // TestSaveLoadRehydratesQueryState is the regression test for the
 // loader leaving query-side state unhydrated: a loaded cube must have
-// a live distributed engine (not the gather-and-scan fallback), usable
-// prefix indexes, correct smallest-superset planning inputs, and
+// a live distributed engine, usable prefix indexes, correct smallest-superset planning inputs, and
 // serving must work — all without rebuilding.
 func TestSaveLoadRehydratesQueryState(t *testing.T) {
 	in, oracle := loadRandom(t, 1500, 37)
@@ -155,11 +142,11 @@ func TestSaveLoadRehydratesQueryState(t *testing.T) {
 	// planning row counts drive the same source-view choices.
 	checkCubesEqual(t, loaded, cube)
 	for _, dims := range [][]string{{"store"}, {"month", "channel"}, {"product", "store"}} {
-		want, err := cube.smallestSuperset(mustView(t, cube, dims))
+		want, err := cube.engine.PickSource(mustView(t, cube, dims))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := loaded.smallestSuperset(mustView(t, loaded, dims))
+		got, err := loaded.engine.PickSource(mustView(t, loaded, dims))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,85 +345,150 @@ func TestSaveDuringIngestNotTorn(t *testing.T) {
 	checkCubesEqual(t, loaded, fresh)
 }
 
-// TestLoadV1Snapshot: version-1 snapshots (no hardware, iceberg, or
-// version records) still load and serve queries, but reject ingest.
-func TestLoadV1Snapshot(t *testing.T) {
-	in, oracle := loadRandom(t, 900, 131)
-	cube, err := Build(in, Options{Processors: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Encode the v1 wire form: the same struct with only v1 fields set.
-	sc := savedCube{
-		Version:    1,
-		Dimensions: cube.in.schema.Dimensions,
-		Dicts:      cube.in.dicts,
-		Op:         int(cube.op),
-		Metrics:    cube.Metrics(),
-	}
-	for _, v := range cube.views {
-		vw, ok := cube.gather(v)
-		if !ok {
-			t.Fatalf("view %v not materialized", v)
-		}
-		sv := savedView{View: uint32(v), Order: cube.orders[v]}
-		for i := 0; i < vw.rows.Len(); i++ {
-			sv.Dims = append(sv.Dims, vw.rows.Row(i)...)
-			sv.Meas = append(sv.Meas, vw.rows.Meas(i))
-		}
-		sc.Views = append(sc.Views, sv)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sc); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCube(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := loaded.Aggregate([]string{"month", "channel"}, []uint32{2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := oracle([]string{"month", "channel"}, []uint32{2, 1}); got != want {
-		t.Fatalf("v1 loaded aggregate %d, oracle %d", got, want)
-	}
-	if _, err := loaded.Ingest([][]uint32{{0, 0, 0, 0}}, []int64{1}); err == nil {
-		t.Fatal("v1-loaded cube accepted an ingest batch")
-	}
+// legacyCube / legacyView are the wire shape of snapshot formats 1 and
+// 2 (flat row arrays per view), kept here only to hand-encode streams
+// the loader must refuse.
+type legacyView struct {
+	View  uint32
+	Order []int
+	Dims  []uint32
+	Meas  []int64
 }
 
-// TestLoadV2SnapshotUnderColumnarCode: a snapshot written with the
-// columnar store disabled is the exact v2 row-form wire format; the
-// v3-capable loader must still accept it and answer queries
-// identically to the live cube.
-func TestLoadV2SnapshotUnderColumnarCode(t *testing.T) {
-	in, oracle := loadRandom(t, 1000, 59)
+type legacyCube struct {
+	Version      int
+	Dimensions   []Dimension
+	Dicts        [][]string
+	Op           int
+	Metrics      Metrics
+	Views        []legacyView
+	Hardware     int
+	MinSupport   int64
+	ViewVersions map[uint32]uint64
+}
+
+// TestLoadCubeRejectsUntrustedSnapshots: every way a stream can lie to
+// the one remaining loader returns an error — the right typed one
+// where there is one — and never panics or yields a cube.
+func TestLoadCubeRejectsUntrustedSnapshots(t *testing.T) {
+	in, _ := loadRandom(t, 600, 131)
 	cube, err := Build(in, Options{Processors: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := colstore.SetEnabled(false)
-	var v2 bytes.Buffer
-	err = cube.Save(&v2)
-	colstore.SetEnabled(prev)
-	if err != nil {
+	var good bytes.Buffer
+	if err := cube.Save(&good); err != nil {
 		t.Fatal(err)
 	}
-	var sc savedCube
-	if err := gob.NewDecoder(bytes.NewReader(v2.Bytes())).Decode(&sc); err != nil {
-		t.Fatal(err)
+	encode := func(v any) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	if sc.Version != 2 {
-		t.Fatalf("columnar-disabled save wrote version %d, want 2", sc.Version)
+	// legacy hand-encodes the cube in the row-array wire form.
+	legacy := func(version int) []byte {
+		lc := legacyCube{
+			Version:    version,
+			Dimensions: cube.in.schema.Dimensions,
+			Op:         int(cube.op),
+			Metrics:    cube.Metrics(),
+		}
+		if version >= 2 {
+			lc.ViewVersions = map[uint32]uint64{0: 1}
+		}
+		for _, v := range cube.views {
+			rows := cube.gatherViewRaw(v)
+			lv := legacyView{View: uint32(v), Order: cube.orders[v]}
+			for i := 0; i < rows.Len(); i++ {
+				lv.Dims = append(lv.Dims, rows.Row(i)...)
+				lv.Meas = append(lv.Meas, rows.Meas(i))
+			}
+			lc.Views = append(lc.Views, lv)
+		}
+		return encode(lc)
 	}
-	loaded, err := LoadCube(&v2)
-	if err != nil {
-		t.Fatal(err)
+	// damaged re-encodes the good snapshot after one mutation.
+	damaged := func(damage func(sc *savedCube)) []byte {
+		t.Helper()
+		var sc savedCube
+		if err := gob.NewDecoder(bytes.NewReader(good.Bytes())).Decode(&sc); err != nil {
+			t.Fatal(err)
+		}
+		damage(&sc)
+		return encode(sc)
 	}
-	checkCubesEqual(t, loaded, cube)
-	if got := mustAggregate(t, loaded, []string{"store"}, []uint32{3}); got != oracle([]string{"store"}, []uint32{3}) {
-		t.Fatalf("v2-loaded aggregate %d, oracle %d", got, oracle([]string{"store"}, []uint32{3}))
+	// widest returns the saved view with the most dimensions.
+	widest := func(sc *savedCube) *savedView {
+		best := &sc.Views[0]
+		for i := range sc.Views {
+			if len(sc.Views[i].Order) > len(best.Order) {
+				best = &sc.Views[i]
+			}
+		}
+		return best
+	}
+
+	cases := []struct {
+		name   string
+		stream []byte
+		is     error // nil: any error will do
+	}{
+		{"not a gob", []byte("not a gob"), nil},
+		{"version 1", legacy(1), ErrUnsupportedSnapshot},
+		{"version 2", legacy(2), ErrUnsupportedSnapshot},
+		{"future version", encode(savedCube{Version: 99}), ErrUnsupportedSnapshot},
+		{"checksums stripped", damaged(func(sc *savedCube) {
+			for i := range sc.Views {
+				sc.Views[i].Sums = nil
+			}
+		}), colstore.ErrCorrupt},
+		{"checksums short", damaged(func(sc *savedCube) {
+			sv := widest(sc)
+			sv.Sums = sv.Sums[:len(sv.Sums)-1]
+		}), colstore.ErrCorrupt},
+		{"p = 1<<30", damaged(func(sc *savedCube) { sc.Metrics.Processors = 1 << 30 }), nil},
+		{"p = 0", damaged(func(sc *savedCube) { sc.Metrics.Processors = 0 }), nil},
+		{"order names a dimension >= d", damaged(func(sc *savedCube) {
+			sv := widest(sc)
+			sv.Order = append([]int(nil), sv.Order...)
+			sv.Order[0] = len(sc.Dimensions)
+		}), nil},
+		{"order repeats a dimension", damaged(func(sc *savedCube) {
+			sv := widest(sc)
+			sv.Order = append([]int(nil), sv.Order...)
+			sv.Order[1] = sv.Order[0]
+		}), nil},
+		{"view outside the lattice", damaged(func(sc *savedCube) {
+			sv := widest(sc)
+			sv.View = 1 << uint(len(sc.Dimensions))
+		}), nil},
+		{"view saved twice", damaged(func(sc *savedCube) {
+			sc.Views = append(sc.Views, sc.Views[0])
+		}), nil},
+		{"rank placed twice", damaged(func(sc *savedCube) {
+			sv := widest(sc)
+			sv.Ranks = append([]int(nil), sv.Ranks...)
+			sv.Ranks[1] = sv.Ranks[0]
+		}), nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("LoadCube panicked: %v", r)
+				}
+			}()
+			c, err := LoadCube(bytes.NewReader(tc.stream))
+			if err == nil || c != nil {
+				t.Fatalf("accepted (cube %v, err %v)", c != nil, err)
+			}
+			if tc.is != nil && !errors.Is(err, tc.is) {
+				t.Fatalf("err = %v, want one wrapping %v", err, tc.is)
+			}
+		})
 	}
 }
 
@@ -449,52 +501,49 @@ func mustAggregate(t *testing.T, c *Cube, dims []string, key []uint32) int64 {
 	return got
 }
 
-// TestSaveLoadColumnarMatchesRowOracle: the same cube saved through
-// the v3 columnar path and the v2 row path reloads to byte-identical
-// views and answers.
+// TestSaveLoadColumnarMatchesRowOracle: a snapshot is the format-3
+// columnar image — smaller than the cube's row-format size — and
+// reloads to byte-identical views whose answers match the input-level
+// oracle.
 func TestSaveLoadColumnarMatchesRowOracle(t *testing.T) {
 	in, oracle := loadRandom(t, 1100, 67)
 	cube, err := Build(in, Options{Processors: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v3 bytes.Buffer
-	if err := cube.Save(&v3); err != nil {
+	var snap bytes.Buffer
+	if err := cube.Save(&snap); err != nil {
 		t.Fatal(err)
 	}
 	var sc savedCube
-	if err := gob.NewDecoder(bytes.NewReader(v3.Bytes())).Decode(&sc); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(snap.Bytes())).Decode(&sc); err != nil {
 		t.Fatal(err)
 	}
 	if sc.Version != 3 {
-		t.Fatalf("columnar save wrote version %d, want 3", sc.Version)
+		t.Fatalf("save wrote version %d, want 3", sc.Version)
 	}
-	prev := colstore.SetEnabled(false)
-	var v2 bytes.Buffer
-	err = cube.Save(&v2)
-	colstore.SetEnabled(prev)
+	var rowBytes int64
+	for _, dims := range cube.Views() {
+		vw, err := cube.View(dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowBytes += int64(vw.Len() * record.RowBytes(len(dims)))
+	}
+	if int64(snap.Len()) >= rowBytes {
+		t.Fatalf("snapshot (%d bytes) not smaller than the cube's rows x RowBytes (%d bytes)", snap.Len(), rowBytes)
+	}
+	loaded, err := LoadCube(&snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v3.Len() >= v2.Len() {
-		t.Fatalf("v3 snapshot (%d bytes) not smaller than v2 (%d bytes)", v3.Len(), v2.Len())
-	}
-	fromV3, err := LoadCube(&v3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromV2, err := LoadCube(&v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCubesEqual(t, fromV3, fromV2)
+	checkCubesEqual(t, loaded, cube)
 	for _, q := range []struct {
 		dims []string
 		key  []uint32
 	}{{[]string{"month"}, []uint32{4}}, {nil, nil}} {
-		a := mustAggregate(t, fromV3, q.dims, q.key)
-		if b := mustAggregate(t, fromV2, q.dims, q.key); a != b || a != oracle(q.dims, q.key) {
-			t.Fatalf("query %v: v3 %d, v2 %d, oracle %d", q.dims, a, b, oracle(q.dims, q.key))
+		if got := mustAggregate(t, loaded, q.dims, q.key); got != oracle(q.dims, q.key) {
+			t.Fatalf("query %v: loaded %d, oracle %d", q.dims, got, oracle(q.dims, q.key))
 		}
 	}
 }
@@ -561,7 +610,7 @@ func TestLoadCubeCorruptColumnarBlock(t *testing.T) {
 	}
 }
 
-// TestLoadCubeTruncatedStream: cutting the v3 gob stream at arbitrary
+// TestLoadCubeTruncatedStream: cutting the gob stream at arbitrary
 // points must produce an error, not a panic or a partial cube.
 func TestLoadCubeTruncatedStream(t *testing.T) {
 	in, _ := loadRandom(t, 800, 73)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/lattice"
 	"repro/internal/queryengine"
-	"repro/internal/record"
 )
 
 // GroupBy computes an ad-hoc OLAP query against the cube: group by the
@@ -17,12 +16,10 @@ import (
 // referenced dimensions — the standard ROLAP rewrite. Roll-up and
 // drill-down are GroupBy with fewer or more dimensions.
 //
-// On a cluster-backed cube the query executes where the data lives:
-// every processor filters, projects, and partially aggregates its own
-// slice of the source view, and the partial aggregates are merged —
-// no view is gathered onto one rank. Cubes loaded from a snapshot fall
-// back to the gather-and-scan path. Both paths return identical
-// results.
+// The query executes where the data lives: every processor filters,
+// projects, and partially aggregates its own slice of the source view,
+// and the partial aggregates are merged — no view is gathered onto one
+// rank. Built and snapshot-loaded cubes run the same path.
 //
 // The result is a computed View (not materialized on the cluster):
 // Attributes follow the order of dims, rows are sorted.
@@ -48,9 +45,6 @@ func (c *Cube) GroupByPercentile(dims []string, filters map[string]uint32, pct f
 }
 
 func (c *Cube) groupByAt(dims []string, filters map[string]uint32, pct float64) (*View, error) {
-	if c.engine == nil {
-		return c.gatherGroupBy(dims, filters, pct)
-	}
 	// The advisor can retire a plan's source view between planning and
 	// execution; a stale plan is rejected (never silently misread) and
 	// simply replanned against the current view set.
@@ -118,106 +112,6 @@ func (c *Cube) planQuery(dims []string, filters map[string]uint32, pct float64) 
 	return q, nil
 }
 
-// gatherGroupBy answers GroupBy by gathering the source view onto one
-// rank and scanning it — the original serving path, kept for cubes
-// loaded from snapshots (no cluster) and as the oracle the distributed
-// path is tested against.
-func (c *Cube) gatherGroupBy(dims []string, filters map[string]uint32, pct float64) (*View, error) {
-	if _, err := c.in.viewOf(dims); err != nil {
-		return nil, err
-	}
-	// A filter may restrict a grouped dimension (the query is "group by
-	// store where store = 3"), so filter dims must be deduplicated
-	// against the group dims before forming the needed view — naively
-	// appending both lists makes viewOf reject the repeat.
-	grouped := make(map[string]bool, len(dims))
-	for _, name := range dims {
-		grouped[name] = true
-	}
-	filterDims := make([]string, 0, len(filters))
-	for name := range filters {
-		if !grouped[name] {
-			filterDims = append(filterDims, name)
-		}
-	}
-	need, err := c.in.viewOf(append(append([]string{}, dims...), filterDims...))
-	if err != nil {
-		return nil, err // repeated or unknown dimension
-	}
-
-	src, err := c.smallestSuperset(need)
-	if err != nil {
-		return nil, err
-	}
-	vw, ok := c.gather(src)
-	if !ok {
-		return nil, fmt.Errorf("rolap: view retired while gathering; retry")
-	}
-
-	// Column bookkeeping in the source view's layout.
-	srcOrder := vw.order
-	filterCol := map[int]uint32{} // column -> required value
-	for name, val := range filters {
-		one, err := c.in.viewOf([]string{name})
-		if err != nil {
-			return nil, err
-		}
-		dim := one.Dims()[0]
-		for col, d := range srcOrder {
-			if d == dim {
-				filterCol[col] = val
-			}
-		}
-	}
-	outCols := make([]int, len(dims)) // result column -> source column
-	for k, name := range dims {
-		one, err := c.in.viewOf([]string{name})
-		if err != nil {
-			return nil, err
-		}
-		dim := one.Dims()[0]
-		for col, d := range srcOrder {
-			if d == dim {
-				outCols[k] = col
-			}
-		}
-	}
-
-	// Filter + project + re-aggregate.
-	proj := record.New(len(dims), 0)
-	key := make([]uint32, len(dims))
-	for i := 0; i < vw.rows.Len(); i++ {
-		match := true
-		for col, val := range filterCol {
-			if vw.rows.Dim(i, col) != val {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		for k, col := range outCols {
-			key[k] = vw.rows.Dim(i, col)
-		}
-		proj.Append(key, vw.rows.Meas(i))
-	}
-	agg, release := c.scratchAgg()
-	defer release()
-	out := record.SortAggregateAgg(proj, agg)
-	if agg.State != nil {
-		for i := 0; i < out.Len(); i++ {
-			out.SetMeas(i, c.resolveMeasure(out.Meas(i), pct))
-		}
-	}
-	return &View{
-		Attributes: append([]string(nil), dims...),
-		Estimated:  c.op.Holistic(),
-		order:      queryOrder(c, dims),
-		rows:       out,
-	}, nil
-}
-
 // queryOrder builds the internal order matching the user's dims
 // sequence (for Decode-style helpers on computed views).
 func queryOrder(c *Cube, dims []string) lattice.Order {
@@ -229,30 +123,6 @@ func queryOrder(c *Cube, dims []string) lattice.Order {
 	return o
 }
 
-// smallestSuperset returns the materialized view with the fewest rows
-// containing all of need's dimensions. Ties on row count break to the
-// smaller ViewID, so the choice is deterministic regardless of map
-// iteration order (and matches the engine's planner).
-func (c *Cube) smallestSuperset(need lattice.ViewID) (lattice.ViewID, error) {
-	c.topoMu.RLock()
-	defer c.topoMu.RUnlock()
-	best := lattice.ViewID(0)
-	bestRows := int64(-1)
-	for v := range c.orders {
-		if !need.SubsetOf(v) {
-			continue
-		}
-		rows := c.viewRowCount(v)
-		if bestRows == -1 || rows < bestRows || (rows == bestRows && v < best) {
-			best, bestRows = v, rows
-		}
-	}
-	if bestRows == -1 {
-		return 0, fmt.Errorf("rolap: no materialized view covers the queried dimensions")
-	}
-	return best, nil
-}
-
 // RangeAggregate aggregates all groups of the named view whose
 // attribute values fall within [lo[k], hi[k]] for every dimension
 // (inclusive on both ends). It is answered from the exact materialized
@@ -260,10 +130,9 @@ func (c *Cube) smallestSuperset(need lattice.ViewID) (lattice.ViewID, error) {
 // Sum cubes when ranges span groups; for Min/Max cubes it returns the
 // min/max over the range.
 //
-// On a cluster-backed cube the range is evaluated in place: each
-// processor combines its slice's matching rows (binary-searching to
-// the run when the range covers the sort-order prefix) and the partial
-// aggregates are merged.
+// The range is evaluated in place: each processor combines its slice's
+// matching rows (binary-searching to the run when the range covers the
+// sort-order prefix) and the partial aggregates are merged.
 func (c *Cube) RangeAggregate(dims []string, lo, hi []uint32) (int64, error) {
 	if len(dims) != len(lo) || len(dims) != len(hi) {
 		return 0, fmt.Errorf("rolap: dims/lo/hi length mismatch")
@@ -272,9 +141,6 @@ func (c *Cube) RangeAggregate(dims []string, lo, hi []uint32) (int64, error) {
 		if lo[k] > hi[k] {
 			return 0, fmt.Errorf("rolap: empty range on %q", dims[k])
 		}
-	}
-	if c.engine == nil {
-		return c.gatherRangeAggregate(dims, lo, hi)
 	}
 	for attempt := 0; ; attempt++ {
 		q, err := c.planRange(dims, lo, hi)
@@ -321,69 +187,6 @@ func (c *Cube) planRange(dims []string, lo, hi []uint32) (queryengine.Query, err
 		q.Percentile = defaultPercentile
 	}
 	return q, nil
-}
-
-// gatherRangeAggregate is the gather-and-scan fallback for snapshot
-// cubes, and the oracle for the distributed path.
-func (c *Cube) gatherRangeAggregate(dims []string, lo, hi []uint32) (int64, error) {
-	want, err := c.in.viewOf(dims)
-	if err != nil {
-		return 0, err
-	}
-	src, err := c.smallestSuperset(want)
-	if err != nil {
-		return 0, err
-	}
-	vw, ok := c.gather(src)
-	if !ok {
-		return 0, fmt.Errorf("rolap: view retired while gathering; retry")
-	}
-	srcOrder := vw.order
-	// Map each queried dim to its source column and bounds.
-	type bound struct {
-		col    int
-		lo, hi uint32
-	}
-	bounds := make([]bound, len(dims))
-	for k, name := range dims {
-		one, err := c.in.viewOf([]string{name})
-		if err != nil {
-			return 0, err
-		}
-		dim := one.Dims()[0]
-		for col, d := range srcOrder {
-			if d == dim {
-				bounds[k] = bound{col: col, lo: lo[k], hi: hi[k]}
-			}
-		}
-	}
-	agg, release := c.scratchAgg()
-	defer release()
-	var acc int64
-	first := true
-	for i := 0; i < vw.rows.Len(); i++ {
-		ok := true
-		for _, b := range bounds {
-			v := vw.rows.Dim(i, b.col)
-			if v < b.lo || v > b.hi {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		if first {
-			acc = vw.rows.Meas(i)
-			first = false
-		} else {
-			acc = agg.Combine(acc, vw.rows.Meas(i))
-		}
-	}
-	if first {
-		return 0, nil
-	}
-	return c.resolveMeasure(agg.Seal(acc), defaultPercentile), nil
 }
 
 // sourceViewNames renders a ViewID as its sorted user dimension names

@@ -177,9 +177,9 @@ func TestGroupByFilterValueAbsentFromDictionary(t *testing.T) {
 }
 
 // TestSmallestSupersetDeterministicTieBreak pins the planner's
-// tie-breaking: two candidate views with identical row counts must
-// resolve to the same view on every call, regardless of map iteration
-// order.
+// tie-breaking on a built cube: two candidate views with identical row
+// counts must resolve to the same view on every call, regardless of
+// map iteration order.
 func TestSmallestSupersetDeterministicTieBreak(t *testing.T) {
 	in, err := NewInput(Schema{Dimensions: []Dimension{
 		{Name: "a", Cardinality: 4},
@@ -207,12 +207,12 @@ func TestSmallestSupersetDeterministicTieBreak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := cube.smallestSuperset(need)
+	first, err := cube.engine.PickSource(need)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		v, err := cube.smallestSuperset(need)
+		v, err := cube.engine.PickSource(need)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -154,14 +154,12 @@ func (n *replicaNode) Apply(rows [][]uint32, meas []int64) error {
 	return n.cube.applyShippedBatch(rows, meas)
 }
 
-// NewReplicaSet bootstraps a replicated serving tier over the cube.
-// The snapshot, the replica bootstraps, and the commit-hook
-// registration happen atomically with respect to Ingest, so no batch
-// can slip between the snapshot and the delta stream.
+// NewReplicaSet bootstraps a replicated serving tier over the cube
+// (built or loaded from a snapshot). The snapshot, the replica
+// bootstraps, and the commit-hook registration happen atomically with
+// respect to Ingest, so no batch can slip between the snapshot and the
+// delta stream.
 func (c *Cube) NewReplicaSet(opts ReplicaOptions) (*ReplicaSet, error) {
-	if c.engine == nil {
-		return nil, fmt.Errorf("rolap: cube has no cluster (loaded without a machine); cannot replicate")
-	}
 	n := opts.Replicas
 	if n == 0 {
 		n = 2

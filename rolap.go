@@ -275,7 +275,7 @@ type Options struct {
 // processors of a shared-nothing machine.
 type Cube struct {
 	in      *Input
-	machine *cluster.Machine // nil for cubes loaded from a v1 snapshot
+	machine *cluster.Machine
 	views   []lattice.ViewID
 	orders  map[lattice.ViewID]lattice.Order
 	// topoMu guards views/orders/trees against the advisor's online
@@ -284,14 +284,12 @@ type Cube struct {
 	topoMu  sync.RWMutex
 	metrics Metrics
 	op      record.AggOp
-	// engine serves distributed queries; nil for cubes loaded from a
-	// v1 snapshot, which fall back to gather-and-scan.
+	// engine serves every query where the slices live; Build and
+	// LoadCube both wire it.
 	engine *queryengine.Engine
 	// sketch backs holistic aggregates: view measures are handles into
 	// it. Nil for algebraic cubes.
 	sketch *sketch.Store
-	// cache holds gathered views for machine-less (loaded) cubes.
-	cache map[lattice.ViewID]*record.Table
 
 	// opts keeps the build configuration so incremental batches reuse
 	// the same thresholds, overlap mode, and aggregate operator.
@@ -314,12 +312,13 @@ type Cube struct {
 	nextHookID  int
 	// ingestFaults is a one-shot fault plan consumed by the next flush.
 	ingestFaults *faults.Plan
-	// loadedV1 marks cubes loaded from a version-1 snapshot, which
-	// cannot prove they were not iceberg builds and so reject ingest.
-	loadedV1 bool
 	// metMu guards metrics, which ingest updates in place.
 	metMu sync.RWMutex
 }
+
+// maxProcessors bounds the simulated machine size Build and LoadCube
+// accept.
+const maxProcessors = 1024
 
 // Build runs the parallel shared-nothing cube construction and returns
 // the distributed cube. Build never panics on bad configuration or
@@ -338,7 +337,7 @@ func Build(in *Input, opts Options) (_ *Cube, err error) {
 	if p == 0 {
 		p = 4
 	}
-	if p < 1 || p > 1024 {
+	if p < 1 || p > maxProcessors {
 		return nil, fmt.Errorf("rolap: processor count %d out of range", p)
 	}
 	d := len(in.schema.Dimensions)

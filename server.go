@@ -242,13 +242,9 @@ type flight struct {
 	err  error
 }
 
-// NewServer returns a query server over the cube. Only cluster-backed
-// cubes (from Build) can serve; cubes loaded from a snapshot have no
-// machine to execute on.
+// NewServer returns a query server over the cube, built or loaded from
+// a snapshot: both carry the machine and engine it executes on.
 func (c *Cube) NewServer(opts ServerOptions) (*Server, error) {
-	if c.engine == nil {
-		return nil, fmt.Errorf("rolap: cube has no cluster (loaded from snapshot); use GroupBy directly")
-	}
 	w := opts.Workers
 	if w == 0 {
 		w = 4

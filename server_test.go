@@ -305,11 +305,3 @@ func TestServerCacheVersionUnderConcurrentIngest(t *testing.T) {
 		t.Fatalf("final total %d (%v), want %d", got, err, total)
 	}
 }
-
-func TestServerRequiresCluster(t *testing.T) {
-	cube, _ := buildServedCube(t, 100, 2)
-	cube.engine = nil // simulate a snapshot-loaded cube
-	if _, err := cube.NewServer(ServerOptions{}); err == nil {
-		t.Fatal("snapshot cube accepted by NewServer")
-	}
-}

@@ -46,14 +46,10 @@ func (c *Cube) Views() [][]string {
 	return out
 }
 
-// Processors returns the machine size the cube was built on (for
-// loaded snapshots, the size recorded in the metrics).
-func (c *Cube) Processors() int {
-	if c.machine == nil {
-		return c.metrics.Processors
-	}
-	return c.machine.P()
-}
+// Processors returns the size of the machine the cube lives on: the
+// one it was built on, or for a loaded snapshot the same-sized one it
+// was placed on.
+func (c *Cube) Processors() int { return c.machine.P() }
 
 // lookup resolves a dimension-name set to a materialized ViewID.
 func (c *Cube) lookup(dims []string) (lattice.ViewID, error) {
@@ -90,27 +86,15 @@ func (c *Cube) View(dims []string) (*View, error) {
 // does not pick one (the median).
 const defaultPercentile = 0.5
 
-// resolveMeasure serves one measure word: identity on algebraic
-// cubes, sketch estimate (at rank q for Quantile) on holistic ones.
-func (c *Cube) resolveMeasure(m int64, q float64) int64 {
-	if c.sketch == nil {
-		return m
-	}
-	return c.sketch.EstimateMeasure(m, q)
-}
-
 // resolveView replaces sketch handles with served estimates in a
-// gathered view. The rows are rewritten into a fresh table — gathered
-// rows can alias the loaded-cube cache, which must keep its handles.
+// gathered view (whose rows are the gather's private copy).
 func (c *Cube) resolveView(vw *View, q float64) *View {
 	if c.sketch == nil {
 		return vw
 	}
-	res := record.New(vw.rows.D, vw.rows.Len())
 	for i := 0; i < vw.rows.Len(); i++ {
-		res.Append(vw.rows.Row(i), c.sketch.EstimateMeasure(vw.rows.Meas(i), q))
+		vw.rows.SetMeas(i, c.sketch.EstimateMeasure(vw.rows.Meas(i), q))
 	}
-	vw.rows = res
 	vw.Estimated = true
 	return vw
 }
@@ -134,14 +118,10 @@ func (c *Cube) gather(v lattice.ViewID) (*View, bool) {
 		rows = c.gatherViewRaw(v)
 		return nil
 	}
-	if c.machine != nil && c.engine != nil {
-		// Serialize against incremental ingest and online
-		// materialization: a gather sees either the pre-batch or
-		// post-batch slices, never a mixture.
-		c.engine.Maintain(read)
-	} else {
-		read()
-	}
+	// Serialize against incremental ingest and online materialization:
+	// a gather sees either the pre-batch or post-batch slices, never a
+	// mixture.
+	c.engine.Maintain(read)
 	if !found {
 		return nil, false
 	}
@@ -175,98 +155,14 @@ func (v *View) Aggregate(key []uint32) (int64, bool) {
 }
 
 // Aggregate answers a point query: the total measure for the group
-// identified by the given dimension names and values. If the exact
-// view is materialized it is used directly; otherwise the query is
-// answered by scanning the smallest materialized superset view (the
-// standard ROLAP fallback).
+// identified by the given dimension names and values — the degenerate
+// range [key, key], answered from the exact view when it is
+// materialized and from the smallest materialized superset otherwise.
 func (c *Cube) Aggregate(dims []string, key []uint32) (int64, error) {
 	if len(dims) != len(key) {
 		return 0, fmt.Errorf("rolap: %d dimensions but %d key values", len(dims), len(key))
 	}
-	want, err := c.in.viewOf(dims)
-	if err != nil {
-		return 0, err
-	}
-	c.topoMu.RLock()
-	_, exact := c.orders[want]
-	c.topoMu.RUnlock()
-	if exact {
-		if vw, ok := c.gather(want); ok {
-			// Reorder the caller's key into the materialized order.
-			k := make([]uint32, len(key))
-			for col, dim := range vw.order {
-				k[col] = key[indexOfDim(dims, c.in, dim)]
-			}
-			m, ok := vw.Aggregate(k)
-			if !ok {
-				return 0, nil
-			}
-			return c.resolveMeasure(m, defaultPercentile), nil
-		}
-		// Retired between the check and the gather; fall back.
-	}
-	// Fallback: smallest materialized superset, scanned with a filter.
-	best, err := c.smallestSuperset(want)
-	if err != nil {
-		return 0, fmt.Errorf("rolap: no materialized view can answer %v", dims)
-	}
-	vw, ok := c.gather(best)
-	if !ok {
-		return 0, fmt.Errorf("rolap: view retired while gathering; retry")
-	}
-	agg, release := c.scratchAgg()
-	defer release()
-	var total int64
-	first := true
-	for i := 0; i < vw.rows.Len(); i++ {
-		match := true
-		for col, dim := range vw.order {
-			if !want.Has(dim) {
-				continue
-			}
-			if vw.rows.Dim(i, col) != key[indexOfDim(dims, c.in, dim)] {
-				match = false
-				break
-			}
-		}
-		if match {
-			if first {
-				total = vw.rows.Meas(i)
-				first = false
-			} else {
-				total = agg.Combine(total, vw.rows.Meas(i))
-			}
-		}
-	}
-	if first {
-		return 0, nil
-	}
-	return c.resolveMeasure(agg.Seal(total), defaultPercentile), nil
-}
-
-// scratchAgg returns the aggregate descriptor for a gather-path merge:
-// on holistic cubes the combine runs in a scratch sketch shard, dropped
-// by the returned release func once every handle is resolved.
-func (c *Cube) scratchAgg() (record.Agg, func()) {
-	agg := record.Agg{Op: c.op}
-	if c.sketch == nil {
-		return agg, func() {}
-	}
-	sc := c.sketch.Scratch()
-	agg.State = sc
-	return agg, func() { c.sketch.ReleaseScratch(sc) }
-}
-
-// indexOfDim finds the position in dims of the user name for internal
-// dimension i.
-func indexOfDim(dims []string, in *Input, i int) int {
-	name := in.schema.Dimensions[in.perm[i]].Name
-	for k, d := range dims {
-		if d == name {
-			return k
-		}
-	}
-	panic(fmt.Sprintf("rolap: dimension %q not in query", name))
+	return c.RangeAggregate(dims, key, key)
 }
 
 // viewRowCount reads a view's current global row count for planning,
