@@ -1,5 +1,5 @@
 # `make tier1` and `make smoke` are what CI runs (see ROADMAP.md).
-# tier1 is build + vet + the full test suite, plus the race detector on
+# tier1 is gofmt + build + vet + the full test suite, plus the race detector on
 # the packages that execute real goroutines (the cluster's SPMD
 # supersteps, samplesort's collective exchanges, core's crash-recovery
 # restarts, mergepart's collective merge, the query engine's concurrent
@@ -8,9 +8,13 @@
 
 GO ?= go
 
-.PHONY: tier1 build vet test race lint-aggop smoke bench bench-figs experiments
+.PHONY: tier1 fmt build vet test race lint-aggop smoke bench bench-figs experiments
 
-tier1: build vet test race lint-aggop
+tier1: fmt build vet test race lint-aggop
+
+# Fails on any file gofmt would rewrite.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -142,18 +142,13 @@ func (c *Cube) NewAdvisor(opts AdvisorOptions) (*Advisor, error) {
 	}
 	// Cardenas estimates need the fact count and per-dimension
 	// cardinalities in internal order.
-	d := len(c.in.schema.Dimensions)
-	cards := make([]int, d)
-	for i := 0; i < d; i++ {
-		cards[i] = c.in.schema.Dimensions[c.in.perm[i]].Cardinality
-	}
 	c.metMu.RLock()
 	n := int64(c.in.table.Len()) + c.metrics.IngestedRows
 	c.metMu.RUnlock()
 	return &Advisor{
 		c:       c,
 		opts:    opts,
-		sizer:   estimate.NewCardenas(n, cards),
+		sizer:   estimate.NewCardenas(n, c.in.cards()),
 		window:  map[lattice.ViewID]advisor.Demand{},
 		lastRaw: map[lattice.ViewID]queryengine.ViewDemand{},
 	}, nil
@@ -322,18 +317,15 @@ func (c *Cube) materializeView(v lattice.ViewID) (ingest.MaterializeResult, erro
 		return ingest.MaterializeResult{}, fmt.Errorf("rolap: source view vanished during materialization planning")
 	}
 	order := lattice.Canonical(v)
-	gamma := c.opts.MergeGamma
-	if gamma == 0 {
-		gamma = 0.03
-	}
 	var res ingest.MaterializeResult
+	var stored int64
 	err = c.engine.Maintain(func() error {
 		r, err := ingest.MaterializeView(c.machine, ingest.MaterializeOptions{
 			Src:        src,
 			SrcOrder:   srcOrder,
 			View:       v,
 			Order:      order,
-			MergeGamma: gamma,
+			MergeGamma: c.opts.MergeGamma,
 			Agg:        c.op,
 			Sketch:     c.sketch,
 		})
@@ -343,12 +335,13 @@ func (c *Cube) materializeView(v lattice.ViewID) (ingest.MaterializeResult, erro
 		res = r
 		c.engine.AddView(v, order, r.Rows)
 		c.updateTopology(v, order)
+		stored = c.storedBytes()
 		return nil
 	})
 	if err != nil {
 		return ingest.MaterializeResult{}, err
 	}
-	c.noteViewRows(v, res.Rows, res.SimSeconds, res.BytesMoved)
+	c.noteViewRows(v, res.Rows, res.SimSeconds, res.BytesMoved, stored)
 	return res, nil
 }
 
@@ -358,6 +351,7 @@ func (c *Cube) materializeView(v lattice.ViewID) (ingest.MaterializeResult, erro
 // Returns whether the view was actually retired. Caller holds ingMu.
 func (c *Cube) retireView(v lattice.ViewID) (bool, error) {
 	retired := false
+	var stored int64
 	err := c.engine.Maintain(func() error {
 		if _, ok := c.engine.Order(v); !ok {
 			return nil // already gone
@@ -378,6 +372,7 @@ func (c *Cube) retireView(v lattice.ViewID) (bool, error) {
 		c.engine.RemoveView(v)
 		ingest.RetireView(c.machine, v)
 		c.updateTopology(v, nil)
+		stored = c.storedBytes()
 		retired = true
 		return nil
 	})
@@ -385,7 +380,7 @@ func (c *Cube) retireView(v lattice.ViewID) (bool, error) {
 		return false, err
 	}
 	if retired {
-		c.noteViewRows(v, -1, 0, 0)
+		c.noteViewRows(v, -1, 0, 0, stored)
 	}
 	return retired, nil
 }
@@ -418,31 +413,11 @@ func (c *Cube) updateTopology(v lattice.ViewID, order lattice.Order) {
 }
 
 // noteViewRows folds one online materialization (rows >= 0) or
-// retirement (rows < 0) into the cube's cumulative metrics. Caller
-// holds ingMu, which also excludes the other writers of ViewRows
-// (applyResult) and the topology (updateTopology).
-func (c *Cube) noteViewRows(v lattice.ViewID, rows int64, simSeconds float64, bytesMoved int64) {
+// retirement (rows < 0) into the cube's cumulative metrics, all of its
+// simulated cost under the "advise" phase. Caller holds ingMu.
+func (c *Cube) noteViewRows(v lattice.ViewID, rows int64, simSeconds float64, bytesMoved, stored int64) {
 	c.metMu.Lock()
 	defer c.metMu.Unlock()
-	m := &c.metrics
-	if m.ViewRows == nil {
-		m.ViewRows = map[string]int64{}
-	}
-	if rows < 0 {
-		delete(m.ViewRows, viewName(c.in, v))
-	} else {
-		m.ViewRows[viewName(c.in, v)] = rows
-	}
-	m.SimSeconds += simSeconds
-	m.BytesMoved += bytesMoved
-	if m.PhaseSeconds == nil {
-		m.PhaseSeconds = map[string]float64{}
-	}
-	m.PhaseSeconds[ingest.PhaseAdvise] += simSeconds
-	m.OutputRows, m.OutputBytes = 0, 0
-	for u, o := range c.orders {
-		n := m.ViewRows[viewName(c.in, u)]
-		m.OutputRows += n
-		m.OutputBytes += n * int64(record.RowBytes(len(o)))
-	}
+	c.foldLocked(simSeconds, bytesMoved, map[string]float64{ingest.PhaseAdvise: simSeconds},
+		map[lattice.ViewID]int64{v: rows}, stored)
 }

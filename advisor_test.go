@@ -1,6 +1,7 @@
 package rolap
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/lattice"
 )
 
@@ -62,6 +64,130 @@ func viewLive(c *Cube, dims []string) bool {
 	}
 	_, ok := c.engine.Order(v)
 	return ok
+}
+
+// checkSealed asserts every live view's slice is columnar on every rank
+// holding one — what lets queries read compressed bytes and skip runs.
+func checkSealed(t *testing.T, c *Cube, tag string) {
+	t.Helper()
+	for _, v := range c.engine.Views() {
+		for r := 0; r < c.machine.P(); r++ {
+			disk := c.machine.Proc(r).Disk()
+			if f := core.ViewFile(v); disk.Has(f) && !disk.Sealed(f) {
+				t.Fatalf("%s: view %v is row-form on rank %d (%d stored bytes)", tag, v, r, disk.StoredBytes(f))
+			}
+		}
+	}
+}
+
+// checkStoredBytes asserts Metrics().OutputBytesStored is what the
+// disks hold for the live views.
+func checkStoredBytes(t *testing.T, c *Cube, tag string) {
+	t.Helper()
+	var want int64
+	for _, v := range c.engine.Views() {
+		want += core.ViewStoredBytes(c.machine, v)
+	}
+	if got := c.Metrics().OutputBytesStored; got != want {
+		t.Fatalf("%s: OutputBytesStored = %d, disks hold %d", tag, got, want)
+	}
+}
+
+// hammer sends n identical group-bys, the demand an advisor step needs
+// to materialize the shape.
+func hammer(t *testing.T, c *Cube, dims []string, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := c.GroupBy(dims, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAdvisedViewIsSealed: an online view goes live through the same
+// commit as an ingest batch, so its slices are sealed when the step
+// returns, not whenever a later Save or batch gets to them.
+func TestAdvisedViewIsSealed(t *testing.T) {
+	cube, adv, _ := buildMinimal(t, 2000, 1, AdvisorOptions{Seed: 5})
+	hammer(t, cube, []string{"store"}, 12)
+	if recs, err := adv.Step(); err != nil || len(recs) == 0 {
+		t.Fatalf("step did %+v, err %v", recs, err)
+	}
+	if !viewLive(cube, []string{"store"}) {
+		t.Fatal("hot view not materialized")
+	}
+	checkSealed(t, cube, "after step")
+}
+
+// TestOutputBytesStoredFollowsMaintenance: the stored-size metric is
+// refreshed by every fold, not frozen at its build-time value.
+func TestOutputBytesStoredFollowsMaintenance(t *testing.T) {
+	cube, adv, _ := buildMinimal(t, 2000, 1, AdvisorOptions{Seed: 5})
+	checkStoredBytes(t, cube, "after build")
+	built := cube.Metrics().OutputBytesStored
+	hammer(t, cube, []string{"store"}, 12)
+	if _, err := adv.Step(); err != nil {
+		t.Fatal(err)
+	}
+	checkStoredBytes(t, cube, "after materialize")
+	if got := cube.Metrics().OutputBytesStored; got <= built {
+		t.Fatalf("a new view left OutputBytesStored at %d (built %d)", got, built)
+	}
+	if _, err := cube.Ingest([][]uint32{{1, 2, 3, 1}, {11, 39, 24, 2}}, []int64{5, 7}); err != nil {
+		t.Fatal(err)
+	}
+	checkStoredBytes(t, cube, "after ingest")
+	if _, err := cube.retireView(mustView(t, cube, []string{"store"})); err != nil {
+		t.Fatal(err)
+	}
+	checkStoredBytes(t, cube, "after retire")
+}
+
+// TestLoadedHolisticCubeChargesSketchPayloads: a restored cube runs on
+// a fresh machine; the schedule prologue must install the sketch byte
+// sizer there too, so an online view's h-relations cost what they cost
+// on the cube the snapshot was taken from.
+func TestLoadedHolisticCubeChargesSketchPayloads(t *testing.T) {
+	rows, meas := holisticFacts(2000, 7)
+	in, err := NewInput(testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rows {
+		if err := in.AddRow(rows[i], meas[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	built, err := Build(in, Options{Processors: 3, Aggregate: CountDistinct, SelectedViews: [][]string{allDims}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := built.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadCube(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := func(c *Cube) int64 {
+		adv, err := c.NewAdvisor(AdvisorOptions{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hammer(t, c, []string{"product"}, 12) // not a prefix of the full view's order
+		if _, err := adv.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if !viewLive(c, []string{"product"}) {
+			t.Fatal("hot view not materialized")
+		}
+		return adv.Stats().BuildBytesMoved
+	}
+	want, got := moved(built), moved(loaded)
+	if want <= 0 || got != want {
+		t.Fatalf("materialization moved %d charged bytes on the loaded cube, %d on the built one", got, want)
+	}
 }
 
 func TestAdvisorMaterializesHotView(t *testing.T) {
@@ -213,6 +339,7 @@ func TestAdvisorConvergesAndAnswersMatchOracle(t *testing.T) {
 		if _, err := adv.Step(); err != nil {
 			t.Fatal(err)
 		}
+		checkSealed(t, cube, fmt.Sprintf("step %d", step))
 	}
 	st := adv.Stats()
 	if st.Materialized == 0 {

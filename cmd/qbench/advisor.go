@@ -307,6 +307,9 @@ func runAdvisor(cfg config, w io.Writer) error {
 		fmt.Fprintf(w, "  step %2d: views=%2d storage=%8d p50=%8.3fms p99=%8.3fms (mat %d, ret %d)\n",
 			pt.Step, pt.Views, pt.StorageBytes, pt.P50Ms, pt.P99Ms, pt.Materialized, pt.Retired)
 	}
+	ast := adv.Stats()
+	fmt.Fprintf(w, "advise phase: %.6f sim_s, %d bytes moved over %d materializations\n",
+		ast.BuildSimSeconds, ast.BuildBytesMoved, ast.Materialized)
 	fmt.Fprintf(w, "final window p50 %.3fms = %.2fx full-cube p50; %d/%d views (%.0f%%); oracle %d/%d ok; converged=%v\n",
 		rep.FinalP50Ms, rep.P50RatioFull, rep.Advisor.Views, fullViews,
 		100*rep.ViewFraction, rep.OracleChecked-rep.OracleMismatches, rep.OracleChecked, rep.Converged)

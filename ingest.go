@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/ingest"
 	"repro/internal/lattice"
@@ -179,20 +180,15 @@ func (c *Cube) flushLocked() (_ IngestMetrics, err error) {
 		return IngestMetrics{}, nil
 	}
 	batch := c.pending
-	d := len(c.in.schema.Dimensions)
-	cards := make([]int, d)
-	for i := 0; i < d; i++ {
-		cards[i] = c.in.schema.Dimensions[c.in.perm[i]].Cardinality
-	}
 	cfg := ingest.Config{
-		D:           d,
+		D:           len(c.in.schema.Dimensions),
 		Selected:    c.views,
 		Orders:      c.orders,
 		Trees:       c.trees,
 		Gamma:       c.opts.Gamma,
 		MergeGamma:  c.opts.MergeGamma,
 		Agg:         c.op,
-		Cards:       cards,
+		Cards:       c.in.cards(),
 		OverlapComm: c.opts.OverlapComm,
 		Faults:      c.ingestFaults,
 		Sketch:      c.sketch,
@@ -335,26 +331,58 @@ func (c *Cube) applyResult(res ingest.Result) {
 	m.IngestSeconds += res.PhaseSeconds[ingest.PhaseIngest]
 	m.DeltaMergeSeconds += res.DeltaMergeSeconds
 	m.DeltaMergeBytes += res.DeltaMergeBytes
-	m.SimSeconds += res.SimSeconds
-	m.BytesMoved += res.BytesMoved
+	var stored int64
+	for _, b := range res.ViewBytesStored {
+		stored += b
+	}
+	c.foldLocked(res.SimSeconds, res.BytesMoved, res.PhaseSeconds, res.ViewRows, stored)
+}
+
+// foldLocked is the one place maintenance work — an ingest batch, an
+// online materialization, a retirement — enters the cumulative
+// metrics: the simulated cost by phase, the new global row count of
+// every view the work touched (negative: the view is gone), and the
+// output totals recomputed over the live topology. stored is the
+// cube's on-disk footprint after the work, measured while the machine
+// was still held. Caller holds ingMu (which excludes the topology's
+// writers) and metMu.
+func (c *Cube) foldLocked(simSeconds float64, bytesMoved int64, phases map[string]float64, rows map[lattice.ViewID]int64, stored int64) {
+	m := &c.metrics
+	m.SimSeconds += simSeconds
+	m.BytesMoved += bytesMoved
 	if m.PhaseSeconds == nil {
 		m.PhaseSeconds = map[string]float64{}
 	}
-	for ph, s := range res.PhaseSeconds {
+	for ph, s := range phases {
 		m.PhaseSeconds[ph] += s
 	}
 	if m.ViewRows == nil {
 		m.ViewRows = map[string]int64{}
 	}
-	for v, rows := range res.ViewRows {
-		m.ViewRows[viewName(c.in, v)] = rows
+	for v, n := range rows {
+		if n < 0 {
+			delete(m.ViewRows, viewName(c.in, v))
+		} else {
+			m.ViewRows[viewName(c.in, v)] = n
+		}
 	}
-	m.OutputRows, m.OutputBytes = 0, 0
+	m.OutputRows, m.OutputBytes, m.OutputBytesStored = 0, 0, stored
 	for v, o := range c.orders {
-		rows := m.ViewRows[viewName(c.in, v)]
-		m.OutputRows += rows
-		m.OutputBytes += rows * int64(record.RowBytes(len(o)))
+		n := m.ViewRows[viewName(c.in, v)]
+		m.OutputRows += n
+		m.OutputBytes += n * int64(record.RowBytes(len(o)))
 	}
+}
+
+// storedBytes is the cube's modelled on-disk footprint: every live
+// view's slices at the size the storage layer reports. Call it while
+// holding the machine (inside engine.Maintain) and ingMu.
+func (c *Cube) storedBytes() int64 {
+	var stored int64
+	for _, v := range c.views {
+		stored += core.ViewStoredBytes(c.machine, v)
+	}
+	return stored
 }
 
 // IngesterOptions sets an Ingester's automatic flush triggers. A batch

@@ -235,10 +235,6 @@ func (p *Proc) SetEpoch(e int) {
 	p.maybeCrash()
 }
 
-// Epoch returns the current dimension iteration set via SetEpoch (-1
-// before the first).
-func (p *Proc) Epoch() int { return p.epoch }
-
 // SetOverlap switches this processor's bulk h-relations (AllToAll) to
 // overlapped mode, the paper's §4.1 communication–computation overlap:
 // the exchange is posted and the processor continues with local work;
@@ -492,7 +488,13 @@ func AllToAllTables(p *Proc, out []*record.Table) []*record.Table {
 	if p.m.faults == nil {
 		return AllToAll(p, out, p.m.tableBytes)
 	}
-	return allToAllTablesChecked(p, out)
+	return allToAllChecked(p, out, wire[*record.Table]{
+		size:    p.m.tableBytes,
+		rows:    (*record.Table).Len,
+		sum:     (*record.Table).Checksum,
+		corrupt: (*record.Table).Corrupt,
+		clone:   (*record.Table).Clone,
+	})
 }
 
 // Reduce combines one value per processor at root with a left fold over

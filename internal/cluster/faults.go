@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/faults"
-	"repro/internal/record"
 )
 
 // faultState is the runtime side of an installed fault plan: the
@@ -113,11 +112,23 @@ func (m *Machine) RankOf(orig int) int {
 	return -1
 }
 
-// tableEnvelope is the wire format of the checked all-to-all path: the
+// wire describes how the checked all-to-all path handles one payload
+// type: its modelled wire size (0 for an absent message), its row count
+// (charged for checksum scans), its checksum, deterministic in-place
+// damage, and a deep copy to damage instead of the live value.
+type wire[T any] struct {
+	size    func(T) int
+	rows    func(T) int
+	sum     func(T) uint64
+	corrupt func(T, uint32) bool
+	clone   func(T) T
+}
+
+// envelope is the wire format of the checked all-to-all path: the
 // payload, the sender's checksum over its wire image, and the fault
 // directives the plan injects into this delivery.
-type tableEnvelope struct {
-	t           *record.Table
+type envelope[T any] struct {
+	v           T
 	sum         uint64
 	drops       int
 	corruptions int
@@ -125,15 +136,15 @@ type tableEnvelope struct {
 	exchange    int64
 }
 
-// allToAllTablesChecked is the fault-aware bulk exchange. Senders
-// checksum every outgoing payload (charged as a scan). Receivers
-// replay the injected delivery failures: a dropped payload times out
-// and is retransmitted; a corrupted payload is detected by a checksum
-// mismatch and retransmitted. Every failed attempt costs the receiver
-// the payload's wire time again plus an exponential backoff, charged
+// allToAllChecked is the fault-aware bulk exchange. Senders checksum
+// every outgoing payload (charged as a scan). Receivers replay the
+// injected delivery failures: a dropped payload times out and is
+// retransmitted; a corrupted payload is detected by a checksum mismatch
+// and retransmitted. Every failed attempt costs the receiver the
+// payload's wire time again plus an exponential backoff, charged
 // synchronously after the superstep (retries happen after the
 // h-relation's first pass, so they cannot ride the overlap lane).
-func allToAllTablesChecked(p *Proc, out []*record.Table) []*record.Table {
+func allToAllChecked[T any](p *Proc, out []T, w wire[T]) []T {
 	m := p.m
 	fs := m.faults
 	if len(out) != m.p {
@@ -142,18 +153,17 @@ func allToAllTablesChecked(p *Proc, out []*record.Table) []*record.Table {
 	exchange := p.exchanges
 	p.exchanges++
 
-	env := make([]tableEnvelope, m.p)
+	env := make([]envelope[T], m.p)
 	sent, msgs, sentRows := 0, 0, 0
-	for k := 0; k < m.p; k++ {
-		t := out[k]
-		e := tableEnvelope{t: t}
-		if k != p.rank && m.tableBytes(t) > 0 {
-			e.sum = t.Checksum()
+	for k, v := range out {
+		e := envelope[T]{v: v}
+		if b := w.size(v); k != p.rank && b > 0 {
+			e.sum = w.sum(v)
 			e.src = p.orig
 			e.exchange = exchange
 			e.drops, e.corruptions = fs.plan.FailuresFor(p.orig, m.procs[k].orig, exchange)
-			sentRows += t.Len()
-			sent += m.tableBytes(t)
+			sentRows += w.rows(v)
+			sent += b
 			msgs++
 		}
 		env[k] = e
@@ -161,7 +171,7 @@ func allToAllTablesChecked(p *Proc, out []*record.Table) []*record.Table {
 	// The sender's checksum pass over its outgoing rows.
 	p.clock.AddCompute(costmodel.ScanOps(sentRows))
 
-	in := make([]*record.Table, m.p)
+	in := make([]T, m.p)
 	var retryBytes int64
 	var retryMsgs int64
 	var verifyRows int
@@ -177,19 +187,20 @@ func allToAllTablesChecked(p *Proc, out []*record.Table) []*record.Table {
 		func() int {
 			recv := 0
 			for j := 0; j < m.p; j++ {
-				e := m.matrix[j][p.rank].(tableEnvelope)
-				in[j] = e.t
-				if j == p.rank || m.tableBytes(e.t) == 0 {
+				e := m.matrix[j][p.rank].(envelope[T])
+				in[j] = e.v
+				b := w.size(e.v)
+				if j == p.rank || b == 0 {
 					continue
 				}
-				recv += m.tableBytes(e.t)
+				recv += b
 				attempt := 0
 				// Dropped attempts: the receiver's delivery timeout
 				// expires and the sender retransmits.
 				for i := 0; i < e.drops; i++ {
 					attempt++
 					backoff += base * float64(int(1)<<(attempt-1))
-					retryBytes += int64(m.tableBytes(e.t))
+					retryBytes += int64(b)
 					retryMsgs++
 				}
 				// Corrupted attempts: a damaged copy arrives, the
@@ -197,22 +208,22 @@ func allToAllTablesChecked(p *Proc, out []*record.Table) []*record.Table {
 				// retransmits.
 				for i := 0; i < e.corruptions; i++ {
 					attempt++
-					bad := e.t.Clone()
-					if bad.Corrupt(fs.plan.CorruptionMask(e.src, p.orig, e.exchange, attempt)) {
-						if bad.Checksum() == e.sum {
+					bad := w.clone(e.v)
+					if w.corrupt(bad, fs.plan.CorruptionMask(e.src, p.orig, e.exchange, attempt)) {
+						if w.sum(bad) == e.sum {
 							panic(fmt.Sprintf("cluster: corrupted payload %d->%d passed checksum", e.src, p.rank))
 						}
 					}
-					verifyRows += bad.Len()
+					verifyRows += w.rows(bad)
 					backoff += base * float64(int(1)<<(attempt-1))
-					retryBytes += int64(m.tableBytes(e.t))
+					retryBytes += int64(b)
 					retryMsgs++
 				}
 				// The delivery that sticks is verified too.
-				if e.t.Checksum() != e.sum {
+				if w.sum(e.v) != e.sum {
 					panic(fmt.Sprintf("cluster: payload %d->%d failed checksum after retries", e.src, p.rank))
 				}
-				verifyRows += e.t.Len()
+				verifyRows += w.rows(e.v)
 			}
 			return recv
 		},

@@ -1,11 +1,5 @@
 package cluster
 
-import (
-	"fmt"
-
-	"repro/internal/costmodel"
-)
-
 // Payload is a bulk-exchange payload the checked path can verify and
 // damage: compressed view slices (colstore.Slice) satisfy it. Methods
 // must be nil-safe on pointer receivers — a nil payload models an
@@ -26,131 +20,30 @@ type Payload interface {
 // charged at each payload's modelled (compressed) wire size. clone
 // deep-copies a payload: the simulated wire must not alias the
 // sender's live value, and injected corruption damages copies. With a
-// fault plan installed the exchange runs checked — senders checksum
-// outgoing payloads, receivers detect injected drops and corruptions
-// and pay for charged retransmissions with exponential backoff —
-// mirroring AllToAllTables' fault semantics exactly.
+// fault plan installed the exchange runs checked — the same protocol,
+// charges and Stats.Retried accounting as AllToAllTables.
 func AllToAllPayloads[T Payload](p *Proc, out []T, clone func(T) T) []T {
+	size := func(v T) int {
+		if v.Len() == 0 {
+			return 0
+		}
+		return v.Bytes()
+	}
+	var in []T
 	if p.m.faults == nil {
-		in := AllToAll(p, out, func(v T) int {
-			if v.Len() == 0 {
-				return 0
-			}
-			return v.Bytes()
+		in = AllToAll(p, out, size)
+	} else {
+		in = allToAllChecked(p, out, wire[T]{
+			size:    size,
+			rows:    T.Len,
+			sum:     T.Checksum,
+			corrupt: func(v T, mask uint32) bool { return v.Corrupt(uint64(mask)) },
+			clone:   clone,
 		})
-		for j := range in {
-			if in[j].Len() > 0 {
-				in[j] = clone(in[j])
-			}
-		}
-		return in
 	}
-	return allToAllPayloadsChecked(p, out, clone)
-}
-
-// payloadEnvelope mirrors tableEnvelope for generic payloads.
-type payloadEnvelope[T Payload] struct {
-	v           T
-	sum         uint64
-	drops       int
-	corruptions int
-	src         int
-	exchange    int64
-}
-
-// allToAllPayloadsChecked is allToAllTablesChecked generalized over the
-// Payload interface; see that function for the protocol commentary.
-func allToAllPayloadsChecked[T Payload](p *Proc, out []T, clone func(T) T) []T {
-	m := p.m
-	fs := m.faults
-	if len(out) != m.p {
-		panic(fmt.Sprintf("cluster: AllToAll payload count %d, want %d", len(out), m.p))
-	}
-	exchange := p.exchanges
-	p.exchanges++
-
-	env := make([]payloadEnvelope[T], m.p)
-	sent, msgs, sentRows := 0, 0, 0
-	for k := 0; k < m.p; k++ {
-		v := out[k]
-		e := payloadEnvelope[T]{v: v}
-		if k != p.rank && v.Len() > 0 {
-			e.sum = v.Checksum()
-			e.src = p.orig
-			e.exchange = exchange
-			e.drops, e.corruptions = fs.plan.FailuresFor(p.orig, m.procs[k].orig, exchange)
-			sentRows += v.Len()
-			sent += v.Bytes()
-			msgs++
-		}
-		env[k] = e
-	}
-	p.clock.AddCompute(costmodel.ScanOps(sentRows))
-
-	in := make([]T, m.p)
-	var retryBytes int64
-	var retryMsgs int64
-	var verifyRows int
-	var backoff float64
-	base := fs.plan.Backoff()
-
-	p.superstep(
-		func() {
-			for k := range env {
-				m.matrix[p.rank][k] = env[k]
-			}
-		},
-		func() int {
-			recv := 0
-			for j := 0; j < m.p; j++ {
-				e := m.matrix[j][p.rank].(payloadEnvelope[T])
-				in[j] = e.v
-				if j == p.rank || e.v.Len() == 0 {
-					continue
-				}
-				recv += e.v.Bytes()
-				attempt := 0
-				for i := 0; i < e.drops; i++ {
-					attempt++
-					backoff += base * float64(int(1)<<(attempt-1))
-					retryBytes += int64(e.v.Bytes())
-					retryMsgs++
-				}
-				for i := 0; i < e.corruptions; i++ {
-					attempt++
-					bad := clone(e.v)
-					if bad.Corrupt(uint64(fs.plan.CorruptionMask(e.src, p.orig, e.exchange, attempt))) {
-						if bad.Checksum() == e.sum {
-							panic(fmt.Sprintf("cluster: corrupted payload %d->%d passed checksum", e.src, p.rank))
-						}
-					}
-					verifyRows += bad.Len()
-					backoff += base * float64(int(1)<<(attempt-1))
-					retryBytes += int64(e.v.Bytes())
-					retryMsgs++
-				}
-				if e.v.Checksum() != e.sum {
-					panic(fmt.Sprintf("cluster: payload %d->%d failed checksum after retries", e.src, p.rank))
-				}
-				verifyRows += e.v.Len()
-			}
-			return recv
-		},
-		sent, msgs, true,
-	)
-
-	if retryMsgs > 0 {
-		p.clock.AddComm(int(retryBytes), int(retryMsgs))
-		p.clock.AddCommDelay(backoff)
-		m.mu.Lock()
-		m.stats.Retried += retryMsgs
-		m.mu.Unlock()
-	}
-	p.clock.AddCompute(costmodel.ScanOps(verifyRows))
-
 	// The delivery that sticks must not alias the sender's live value.
 	for j := range in {
-		if j != p.rank && in[j].Len() > 0 {
+		if in[j].Len() > 0 {
 			in[j] = clone(in[j])
 		}
 	}

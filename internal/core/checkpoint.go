@@ -15,9 +15,10 @@ package core
 // rank's ring neighbor holds its replicas and adopts them: the raw
 // replica is appended to the neighbor's own share, the view replicas
 // merged into its own sorted slices. The completed views are then
-// rebalanced across the survivors with Adaptive–Sample–Sort (presorted
-// mode: only the sampling, the h-relation, and the p-way merge are
-// paid), the checkpoint state is rebuilt on the shrunken ring so a
+// rebalanced across the survivors with mergepart.Redistribute (the Case
+// 3 step: presorted Adaptive–Sample–Sort — sampling, the h-relation
+// and the p-way merge — then the boundary exchange), the checkpoint
+// state is rebuilt on the shrunken ring so a
 // further crash stays recoverable, and Procedure 1 restarts from the
 // resume boundary. The adopted raw share is left imbalanced: every
 // dimension iteration's Adaptive–Sample–Sort rebalances the Di-roots,
@@ -28,8 +29,8 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/costmodel"
 	"repro/internal/lattice"
+	"repro/internal/mergepart"
 	"repro/internal/record"
-	"repro/internal/samplesort"
 )
 
 // ckptPrefix names the neighbor-replica copy of a file.
@@ -176,7 +177,7 @@ func recoverOnProc(p *cluster.Proc, rawFile string, cfg Config, sel []lattice.Vi
 	p.SetPhase("recover")
 
 	completed := completedViews(cfg.D, sel, resume)
-	agg := rankAgg(cfg, p.Rank())
+	agg := cfg.Sketch.Rank(p.Rank()).Agg(cfg.Agg)
 
 	// The dead rank's ring neighbor holds its replicas and adopts them:
 	// the raw replica is appended to its own share, each completed view
@@ -224,10 +225,10 @@ func recoverOnProc(p *cluster.Proc, rawFile string, cfg Config, sel []lattice.Vi
 	}
 
 	// Rebalance the completed views — including the adopter's doubled
-	// slices — across the survivors with Adaptive–Sample–Sort, then
-	// re-seal them: rebalancing leaves slices in row form.
+	// slices — across the survivors, then re-seal them: rebalancing
+	// leaves slices in row form.
 	for _, v := range completed {
-		samplesort.SortPresortedAgg(p, ViewFile(v), cfg.MergeGamma, agg)
+		mergepart.Redistribute(p, ViewFile(v), cfg.MergeGamma, agg)
 		if disk.Has(ViewFile(v)) {
 			disk.Seal(ViewFile(v))
 		}

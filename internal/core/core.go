@@ -18,7 +18,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
 	"repro/internal/estimate"
-	"repro/internal/extsort"
 	"repro/internal/faults"
 	"repro/internal/lattice"
 	"repro/internal/mergepart"
@@ -221,29 +220,31 @@ func (c Config) validate(m *cluster.Machine, rawFile string) error {
 // ViewFile names the disk file holding a view's local slice.
 func ViewFile(v lattice.ViewID) string { return "cube." + v.String() }
 
-// ViewSliceLens returns the per-rank row counts of view v's local
-// slices on the machine's disks, post-build: element r is the slice
-// length on processor r, or -1 if that processor holds no slice of v.
-// It is a metadata access (uncharged), the hook the query-serving
-// layer uses to plan over the cube where it lives.
-func ViewSliceLens(m *cluster.Machine, v lattice.ViewID) []int {
-	out := make([]int, m.P())
-	for r := 0; r < m.P(); r++ {
-		out[r] = m.Proc(r).Disk().Len(ViewFile(v))
-	}
-	return out
-}
-
-// ViewGlobalRows sums the per-rank slice lengths of view v (metadata
-// access, uncharged); a view with no slices anywhere has 0 rows.
+// ViewGlobalRows sums the row counts of view v's local slices on the
+// machine's disks; a view with no slices anywhere has 0 rows. It is a
+// metadata access (uncharged), the hook the query-serving layer uses
+// to plan over the cube where it lives.
 func ViewGlobalRows(m *cluster.Machine, v lattice.ViewID) int64 {
 	var rows int64
-	for _, n := range ViewSliceLens(m, v) {
-		if n > 0 {
+	for r := 0; r < m.P(); r++ {
+		if n := m.Proc(r).Disk().Len(ViewFile(v)); n > 0 {
 			rows += int64(n)
 		}
 	}
 	return rows
+}
+
+// ViewStoredBytes sums the modelled on-disk size of view v's slices as
+// the storage layer reports them — compressed for sealed slices
+// (metadata access, uncharged).
+func ViewStoredBytes(m *cluster.Machine, v lattice.ViewID) int64 {
+	var stored int64
+	for r := 0; r < m.P(); r++ {
+		if b := m.Proc(r).Disk().StoredBytes(ViewFile(v)); b > 0 {
+			stored += int64(b)
+		}
+	}
+	return stored
 }
 
 // Metrics aggregates a parallel cube build.
@@ -299,18 +300,6 @@ type Metrics struct {
 	// instead of re-planning, so a batch follows exactly the schedule
 	// the live cube was built with.
 	SchedTrees map[int]*lattice.Tree
-	// IngestedRows, IngestBatches, IngestSeconds, DeltaMergeSeconds and
-	// DeltaMergeBytes account incremental maintenance (internal/ingest):
-	// facts appended after the initial build, the batches that carried
-	// them, the makespan of the delta-build ("ingest") and delta-merge
-	// ("deltamerge") phases, and the bytes moved while merging deltas
-	// into live views. Zero after BuildCube; accumulated by
-	// ingest.Result.AddTo.
-	IngestedRows      int64
-	IngestBatches     int64
-	IngestSeconds     float64
-	DeltaMergeSeconds float64
-	DeltaMergeBytes   int64
 	// RetriedMessages counts h-relation payloads retransmitted to
 	// repair injected drops and corruptions.
 	RetriedMessages int64
@@ -381,12 +370,7 @@ func BuildCube(m *cluster.Machine, rawFile string, cfg Config) (Metrics, error) 
 	if err := m.SetFaults(cfg.Faults); err != nil {
 		return Metrics{}, err
 	}
-	if cfg.Sketch != nil && cfg.Agg.Holistic() {
-		// Sketch payloads ride the h-relations with the rows that carry
-		// their handles: charge their serialized size on every exchange.
-		sz := rankAgg(cfg, 0)
-		m.SetTableSizer(func(t *record.Table) int { return sz.TableStateBytes(t) })
-	}
+	ChargeSketchPayloads(m, cfg.Agg, cfg.Sketch)
 	sel := cfg.Selected
 	if sel == nil {
 		sel = lattice.AllViews(cfg.D)
@@ -444,18 +428,8 @@ func BuildCube(m *cluster.Machine, rawFile string, cfg Config) (Metrics, error) 
 // checkpoint.
 func buildOnProc(p *cluster.Proc, rawFile string, cfg Config, sel []lattice.ViewID, out *procOut, startDim int, initial bool) {
 	d := cfg.D
-	clk := p.Clock()
 	p.SetOverlap(cfg.OverlapComm)
-	phase := func(name string) func() {
-		p.SetPhase(name)
-		start := clk.Seconds()
-		return func() {
-			// Settle in-flight overlapped communication so its residual
-			// is attributed to the phase that posted it.
-			clk.SettleComm()
-			out.phase[name] += clk.Seconds() - start
-		}
-	}
+	phase := PhaseTimer(p, out.phase)
 
 	ck := cfg.Checkpoint
 	if initial && ck.Enabled {
@@ -488,24 +462,12 @@ func buildOnProc(p *cluster.Proc, rawFile string, cfg Config, sel []lattice.View
 	}
 }
 
-// rankAgg builds the aggregate descriptor a processor applies to
-// measures: the configured operator plus, for holistic operators, this
-// rank's combiner into the shared sketch store.
-func rankAgg(cfg Config, rank int) record.Agg {
-	agg := record.Agg{Op: cfg.Agg}
-	if cfg.Sketch != nil && cfg.Agg.Holistic() {
-		agg.State = cfg.Sketch.Rank(rank)
-	}
-	return agg
-}
-
 // buildDim runs one dimension iteration of Procedure 1: partition,
 // plan, build, merge.
 func buildDim(p *cluster.Proc, rawFile string, cfg Config, i int, partSel []lattice.ViewID, obs *dimObs, phase func(string) func()) {
 	d := cfg.D
 	disk := p.Disk()
-	clk := p.Clock()
-	agg := rankAgg(cfg, p.Rank())
+	agg := cfg.Sketch.Rank(p.Rank()).Agg(cfg.Agg)
 	partViews := lattice.Partition(i, d)
 	root := lattice.Root(i, d)
 	rootOrder := lattice.Canonical(root)
@@ -514,26 +476,14 @@ func buildDim(p *cluster.Proc, rawFile string, cfg Config, i int, partSel []latt
 	// ---- Step 1: data partitioning. ----
 	done := phase("partition")
 	// 1a: local Di-root = sort + scan of the local raw share.
-	raw := disk.MustGet(rawFile)
-	clk.AddCompute(costmodel.ScanOps(raw.Len()))
-	disk.Put(rootFile, raw.Project([]int(rootOrder)))
-	if len(cfg.Cards) == d {
-		pc := make([]int, len(rootOrder))
-		for j, col := range rootOrder {
-			pc[j] = cfg.Cards[col]
-		}
-		extsort.SortPlan(disk, rootFile, record.PlanKeyFromCards(pc))
-	} else {
-		extsort.Sort(disk, rootFile)
-	}
-	localAggregate(p, rootFile, agg)
+	LocalRoot(p, rawFile, rootFile, rootOrder, cfg.Cards, agg)
 	// 1b: global sort of the union of the local roots.
 	sres := samplesort.Sort(p, rootFile, cfg.Gamma)
 	if sres.Shifted {
 		obs.shifts++
 	}
 	// 1c: local re-aggregation of the received slice.
-	localAggregate(p, rootFile, agg)
+	LocalAggregate(p, rootFile, agg)
 	done()
 
 	// ---- Step 2: local Di-partition. ----
@@ -547,11 +497,7 @@ func buildDim(p *cluster.Proc, rawFile string, cfg Config, i int, partSel []latt
 	done()
 
 	done = phase("build")
-	sampleCap := cfg.SampleCap
-	if sampleCap == 0 {
-		sampleCap = 100 * p.P()
-	}
-	pipesort.ExecuteOpts(disk, tree, ViewFile, pipesort.Options{SampleCap: sampleCap, Op: cfg.Agg, State: agg.State})
+	ExecuteSchedule(p, tree, ViewFile, partSel, cfg.SampleCap, agg)
 	done()
 
 	// ---- Step 3: merge of the local Di-partitions. ----
@@ -575,16 +521,6 @@ func buildDim(p *cluster.Proc, rawFile string, cfg Config, i int, partSel []latt
 			disk.Seal(ViewFile(v))
 		}
 	}
-	// Drop intermediate views a partial plan materialized.
-	selSet := map[lattice.ViewID]bool{}
-	for _, v := range partSel {
-		selSet[v] = true
-	}
-	tree.Walk(func(n *lattice.Node) {
-		if !selSet[n.View] {
-			disk.Remove(ViewFile(n.View))
-		}
-	})
 	done()
 }
 
@@ -602,15 +538,6 @@ func icebergFilter(p *cluster.Proc, file string, minSupport int64) {
 		}
 	}
 	disk.Put(file, kept)
-}
-
-// localAggregate rewrites a sorted file with adjacent duplicate keys
-// collapsed (the "sequential scan" halves of Steps 1a and 1c).
-func localAggregate(p *cluster.Proc, file string, agg record.Agg) {
-	disk := p.Disk()
-	t := disk.MustTake(file)
-	p.Clock().AddCompute(costmodel.ScanOps(t.Len()))
-	disk.Put(file, record.AggregateSortedAgg(t, t.D, agg))
 }
 
 // planTree performs Steps 2a/2b: P0 plans and broadcasts in global
@@ -742,21 +669,15 @@ func collectMetrics(m *cluster.Machine, origP int, sel []lattice.ViewID, outs []
 	}
 	met.ViewBytesStored = map[lattice.ViewID]int64{}
 	met.ViewSketchBytes = map[lattice.ViewID]int64{}
-	agg := rankAgg(cfg, 0)
+	agg := cfg.Sketch.Rank(0).Agg(cfg.Agg)
 	for _, v := range sel {
-		var rows, stored, sk int64
-		for r := 0; r < m.P(); r++ {
-			disk := m.Proc(r).Disk()
-			if n := disk.Len(ViewFile(v)); n > 0 {
-				rows += int64(n)
-				stored += int64(disk.StoredBytes(ViewFile(v)))
-				if agg.State != nil {
-					// Peek is uncharged: metrics collection must not
-					// perturb the clocks later query timing reads.
-					if t, ok := disk.Peek(ViewFile(v)); ok {
-						sk += int64(agg.TableStateBytes(t))
-					}
-				}
+		rows, stored := ViewGlobalRows(m, v), ViewStoredBytes(m, v)
+		var sk int64
+		for r := 0; agg.State != nil && r < m.P(); r++ {
+			// Peek is uncharged: metrics collection must not perturb
+			// the clocks later query timing reads.
+			if t, ok := m.Proc(r).Disk().Peek(ViewFile(v)); ok {
+				sk += int64(agg.TableStateBytes(t))
 			}
 		}
 		met.ViewRows[v] = rows

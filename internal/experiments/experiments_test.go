@@ -21,6 +21,7 @@ func testScale() Scale {
 func last(pts []SpeedupPoint) SpeedupPoint { return pts[len(pts)-1] }
 
 func TestFig5SpeedupShape(t *testing.T) {
+	t.Parallel()
 	res := Fig5(testScale())
 	if len(res.Series) != 2 {
 		t.Fatalf("want 2 series, got %d", len(res.Series))
@@ -55,6 +56,7 @@ func TestFig5SpeedupShape(t *testing.T) {
 }
 
 func TestFig6PartialCubeShape(t *testing.T) {
+	t.Parallel()
 	res := Fig6(testScale())
 	if len(res.Series) != 4 {
 		t.Fatalf("want 4 series, got %d", len(res.Series))
@@ -95,6 +97,7 @@ func TestFig6PartialCubeShape(t *testing.T) {
 }
 
 func TestFig7GlobalBeatsLocal(t *testing.T) {
+	t.Parallel()
 	res := Fig7(testScale())
 	// At the largest p, the global schedule tree must not lose to the
 	// local trees (the paper's §2.3/§4.2 conclusion: merge-time
@@ -120,6 +123,7 @@ func TestFig7GlobalBeatsLocal(t *testing.T) {
 }
 
 func TestFig8SkewShape(t *testing.T) {
+	t.Parallel()
 	// Skew effects need enough rows for data reduction to outweigh
 	// per-view overheads; run this figure at a larger n.
 	sc := testScale()
@@ -158,6 +162,7 @@ func TestFig8SkewShape(t *testing.T) {
 }
 
 func TestFig9CardinalityShape(t *testing.T) {
+	t.Parallel()
 	// Cardinality effects are subtle; use a larger n and a short
 	// processor sweep.
 	sc := testScale()
@@ -188,6 +193,7 @@ func TestFig9CardinalityShape(t *testing.T) {
 }
 
 func TestFig10DimensionalityShape(t *testing.T) {
+	t.Parallel()
 	sc := testScale()
 	res := Fig10(sc)
 	if len(res.Points) != 5 {
@@ -219,6 +225,7 @@ func TestFig10DimensionalityShape(t *testing.T) {
 }
 
 func TestFig11BalanceShape(t *testing.T) {
+	t.Parallel()
 	res := Fig11(testScale())
 	if len(res.Series) != 3 {
 		t.Fatalf("want gammas 3/5/7, got %d", len(res.Series))
@@ -240,6 +247,7 @@ func TestFig11BalanceShape(t *testing.T) {
 }
 
 func TestHeadlineExpansion(t *testing.T) {
+	t.Parallel()
 	res := Headline(testScale())
 	if len(res.Entries) != 2 {
 		t.Fatalf("want 2 entries, got %d", len(res.Entries))
@@ -266,6 +274,7 @@ func TestHeadlineExpansion(t *testing.T) {
 }
 
 func TestScales(t *testing.T) {
+	t.Parallel()
 	d := DefaultScale()
 	p := PaperScale()
 	if p.N1M != 1_000_000 || p.N2M != 2_000_000 || p.N10M != 10_000_000 {
@@ -288,6 +297,7 @@ func TestScales(t *testing.T) {
 // experiment config, and the improvement can never exceed the
 // corrected MaskableCommFraction bound.
 func TestOverlapImprovesWithinBound(t *testing.T) {
+	t.Parallel()
 	res := Overlap(testScale())
 	if len(res.Points) == 0 || len(res.Skew) == 0 {
 		t.Fatalf("overlap result malformed: %+v", res)
@@ -329,6 +339,7 @@ func TestOverlapImprovesWithinBound(t *testing.T) {
 }
 
 func TestBaselineComparison(t *testing.T) {
+	t.Parallel()
 	sc := testScale()
 	sc.N1M = 60_000
 	sc.Procs = []int{4, 16}
@@ -351,6 +362,7 @@ func TestBaselineComparison(t *testing.T) {
 }
 
 func TestFaultsTableShape(t *testing.T) {
+	t.Parallel()
 	res := Faults(testScale())
 	if len(res.Overhead) != 4 || res.Overhead[0].Interval != 0 {
 		t.Fatalf("overhead sweep malformed: %+v", res.Overhead)
@@ -399,6 +411,7 @@ func TestFaultsTableShape(t *testing.T) {
 }
 
 func TestServeThroughputScales(t *testing.T) {
+	t.Parallel()
 	sc := testScale()
 	sc.Procs = []int{1, 8}
 	res := Serve(sc)

@@ -45,6 +45,22 @@ func SortPlan(d *simdisk.Disk, name string, kp record.KeyPlan) int {
 	return sortBudget(d, name, d.Clock().Params().MemoryBytes, d.Clock().Params().BlockSize, kp, true)
 }
 
+// ProjectSort is the one way a file is re-keyed, whatever schedule asks
+// for it (a partition root from raw data, a delta root from a batch, a
+// Pipesort sort edge, a merge-time re-sort): read src (charged), scan
+// it projecting columns cols into dst, and externally sort dst. src and
+// dst may name the same file. A non-nil kp is a caller key plan as for
+// SortPlan. It returns the number of merge passes.
+func ProjectSort(d *simdisk.Disk, src, dst string, cols []int, kp *record.KeyPlan) int {
+	t := d.MustGet(src)
+	d.Clock().AddCompute(costmodel.ScanOps(t.Len()))
+	d.Put(dst, t.Project(cols))
+	if kp != nil {
+		return SortPlan(d, dst, *kp)
+	}
+	return Sort(d, dst)
+}
+
 // SortBudget is Sort with an explicit memory budget and block size in
 // bytes, for tests and ablations.
 func SortBudget(d *simdisk.Disk, name string, memBytes, blockBytes int) int {

@@ -64,13 +64,13 @@ func TestServePlanValidate(t *testing.T) {
 		t.Fatalf("valid plan rejected: %v", err)
 	}
 	bad := []*ServePlan{
-		{Crashes: []ServeCrash{{Replica: 2, Query: 1}}},                                      // replica out of range
-		{Crashes: []ServeCrash{{Replica: 0, Query: 0}}},                                      // ordinal < 1
-		{Stragglers: []ServeStraggler{{Replica: 0, FromQuery: 0, DelaySeconds: 1}}},          // from-query < 1
-		{Stragglers: []ServeStraggler{{Replica: 0, FromQuery: 5, ToQuery: 2}}},               // inverted range
-		{Stragglers: []ServeStraggler{{Replica: 0, FromQuery: 1, DelaySeconds: -1}}},         // negative delay
-		{Stragglers: []ServeStraggler{{Replica: 0, FromQuery: 1, DelaySeconds: 60}}},         // delay over cap
-		{Stalls: []ShipStall{{Replica: 0, Batch: 0, DelaySeconds: 1}}},                       // batch < 1
+		{Crashes: []ServeCrash{{Replica: 2, Query: 1}}},                                       // replica out of range
+		{Crashes: []ServeCrash{{Replica: 0, Query: 0}}},                                       // ordinal < 1
+		{Stragglers: []ServeStraggler{{Replica: 0, FromQuery: 0, DelaySeconds: 1}}},           // from-query < 1
+		{Stragglers: []ServeStraggler{{Replica: 0, FromQuery: 5, ToQuery: 2}}},                // inverted range
+		{Stragglers: []ServeStraggler{{Replica: 0, FromQuery: 1, DelaySeconds: -1}}},          // negative delay
+		{Stragglers: []ServeStraggler{{Replica: 0, FromQuery: 1, DelaySeconds: 60}}},          // delay over cap
+		{Stalls: []ShipStall{{Replica: 0, Batch: 0, DelaySeconds: 1}}},                        // batch < 1
 		{Stalls: []ShipStall{{Replica: 0, Batch: 1, DelaySeconds: MaxServeDelaySeconds + 1}}}, // delay over cap
 	}
 	for i, p := range bad {

@@ -130,7 +130,7 @@ func TestSkewIncreasesDataReduction(t *testing.T) {
 			Skews: []float64{alpha, alpha, alpha, alpha}, Seed: 5,
 		}
 		tb := New(spec).All()
-		return record.SortAggregate(tb).Len()
+		return record.SortAggregateAgg(tb, record.Agg{Op: record.OpSum}).Len()
 	}
 	d0, d1, d3 := distinct(0), distinct(1), distinct(3)
 	if !(d0 >= d1 && d1 > d3) {

@@ -39,7 +39,7 @@ const queryDomain = uint64(0x51) << 56
 // Key returns the i-th query's key (0-based stream position).
 func (m *QueryMix) Key(i int) int {
 	h := splitmix64(uint64(m.seed)<<20 ^ uint64(i)*0x9e3779b97f4a7c15 ^ queryDomain)
-	u := float64(h>>11) / float64(1 << 53)
+	u := float64(h>>11) / float64(1<<53)
 	k := sort.SearchFloat64s(m.cdf, u)
 	if k >= len(m.cdf) {
 		k = len(m.cdf) - 1

@@ -35,13 +35,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/extsort"
 	"repro/internal/faults"
 	"repro/internal/lattice"
 	"repro/internal/mergepart"
-	"repro/internal/pipesort"
 	"repro/internal/record"
-	"repro/internal/samplesort"
 	"repro/internal/sketch"
 )
 
@@ -188,65 +185,11 @@ type Result struct {
 	ViewBytesStored map[lattice.ViewID]int64
 }
 
-// AddTo folds the batch into build metrics, maintaining the
-// core-level ingest counters and refreshing the per-view row counts.
-func (r Result) AddTo(met *core.Metrics) {
-	met.IngestedRows += r.Rows
-	met.IngestBatches++
-	met.IngestSeconds += r.PhaseSeconds[PhaseIngest]
-	met.DeltaMergeSeconds += r.DeltaMergeSeconds
-	met.DeltaMergeBytes += r.DeltaMergeBytes
-	met.SimSeconds += r.SimSeconds
-	met.BytesMoved += r.BytesMoved
-	met.Supersteps += r.Supersteps
-	if met.PhaseSeconds != nil {
-		for name, sec := range r.PhaseSeconds {
-			met.PhaseSeconds[name] += sec
-		}
-	}
-	if met.BytesByPhase != nil {
-		met.BytesByPhase[PhaseDeltaMerge] += r.DeltaMergeBytes
-		met.BytesByPhase[PhaseIngest] += r.BytesMoved - r.DeltaMergeBytes
-	}
-	if met.CaseCounts != nil {
-		for c, n := range r.CaseCounts {
-			met.CaseCounts[c] += n
-		}
-	}
-	met.OutputRows = 0
-	met.OutputBytes = 0
-	for v, rows := range r.ViewRows {
-		met.ViewRows[v] = rows
-	}
-	for v, rows := range met.ViewRows {
-		met.OutputRows += rows
-		met.OutputBytes += rows * int64(record.RowBytes(v.Count()))
-	}
-	if met.ViewBytesStored == nil {
-		met.ViewBytesStored = map[lattice.ViewID]int64{}
-	}
-	for v, b := range r.ViewBytesStored {
-		met.ViewBytesStored[v] = b
-	}
-	met.OutputBytesStored = 0
-	for _, b := range met.ViewBytesStored {
-		met.OutputBytesStored += b
-	}
-}
-
 // procOut captures per-processor observations during the SPMD run.
 type procOut struct {
 	phase   map[string]float64
 	cases   map[mergepart.Case]int
 	changed map[lattice.ViewID]bool
-}
-
-func newProcOut() *procOut {
-	return &procOut{
-		phase:   map[string]float64{},
-		cases:   map[mergepart.Case]int{},
-		changed: map[lattice.ViewID]bool{},
-	}
 }
 
 // IngestBatch applies one batch of fact rows (D dimension columns in
@@ -268,23 +211,16 @@ func IngestBatch(m *cluster.Machine, batch *record.Table, cfg Config) (Result, e
 		return Result{}, err
 	}
 	defer m.SetFaults(nil)
-	if cfg.Sketch != nil && cfg.Agg.Holistic() {
-		// Sketch payloads ride the delta h-relations with their handles.
-		sz := rankAgg(cfg, 0)
-		m.SetTableSizer(func(t *record.Table) int { return sz.TableStateBytes(t) })
-	}
+	core.ChargeSketchPayloads(m, cfg.Agg, cfg.Sketch)
 
 	np := m.P()
-	before := make([]map[string]bool, np)
-	for r := 0; r < np; r++ {
-		before[r] = map[string]bool{}
-		for _, f := range m.Proc(r).Disk().Files() {
-			before[r][f] = true
-		}
-	}
 	outs := make([]*procOut, np)
 	for i := range outs {
-		outs[i] = newProcOut()
+		outs[i] = &procOut{
+			phase:   map[string]float64{},
+			cases:   map[mergepart.Case]int{},
+			changed: map[lattice.ViewID]bool{},
+		}
 	}
 	st0 := m.Stats()
 	t0 := m.SimSeconds()
@@ -293,19 +229,7 @@ func IngestBatch(m *cluster.Machine, batch *record.Table, cfg Config) (Result, e
 		ingestOnProc(p, batch, cfg, sel, outs[p.Rank()])
 	})
 	if err != nil {
-		// Recover to the pre-batch cube: live views were never touched
-		// (the commit barrier gates every rename); drop whatever batch
-		// state the aborted processors left behind. Metadata-only, so
-		// recovery adds no simulated cost beyond what the aborted
-		// supersteps already charged.
-		for r := 0; r < m.P(); r++ {
-			disk := m.Proc(r).Disk()
-			for _, f := range disk.Files() {
-				if !before[r][f] && (strings.HasPrefix(f, "ingest.") || strings.HasPrefix(f, "tmp.")) {
-					disk.Remove(f)
-				}
-			}
-		}
+		discardStaged(m)
 		return Result{}, err
 	}
 
@@ -340,42 +264,51 @@ func IngestBatch(m *cluster.Machine, batch *record.Table, cfg Config) (Result, e
 	res.DeltaMergeSeconds = res.PhaseSeconds[PhaseDeltaMerge]
 	for _, v := range sel {
 		res.ViewRows[v] = core.ViewGlobalRows(m, v)
-		var stored int64
-		for r := 0; r < m.P(); r++ {
-			if b := m.Proc(r).Disk().StoredBytes(core.ViewFile(v)); b > 0 {
-				stored += int64(b)
-			}
-		}
-		res.ViewBytesStored[v] = stored
+		res.ViewBytesStored[v] = core.ViewStoredBytes(m, v)
 	}
 	return res, nil
 }
 
-// rankAgg builds the aggregate descriptor a processor applies to
-// measures: the configured operator plus, for holistic operators, this
-// rank's combiner into the shared sketch store.
-func rankAgg(cfg Config, rank int) record.Agg {
-	agg := record.Agg{Op: cfg.Agg}
-	if cfg.Sketch != nil && cfg.Agg.Holistic() {
-		agg.State = cfg.Sketch.Rank(rank)
+// discardStaged recovers to the pre-schedule cube after an aborted run:
+// live views were never touched (the commit barrier gates every
+// rename), so dropping the staging state the aborted processors left
+// behind is the whole recovery, and it is free (metadata-only).
+func discardStaged(m *cluster.Machine) {
+	for r := 0; r < m.P(); r++ {
+		disk := m.Proc(r).Disk()
+		for _, f := range disk.Files() {
+			if strings.HasPrefix(f, "ingest.") || strings.HasPrefix(f, "tmp.") {
+				disk.Remove(f)
+			}
+		}
 	}
-	return agg
+}
+
+// commit makes the staged slices of views live, for a batch and for an
+// online view alike. All processors synchronize first: injected crashes
+// fire at superstep entry and phase/epoch boundaries, so a crash
+// anywhere in the schedule aborts every processor at or before this
+// barrier and no live file is renamed until the whole machine has
+// finished merging. The swap is metadata-only (uncharged); staged
+// slices are row-form, so each is sealed as it goes live (a local
+// charge, no collective) and the cube stays columnar.
+func commit(p *cluster.Proc, views []lattice.ViewID) {
+	cluster.Barrier(p)
+	disk := p.Disk()
+	for _, v := range views {
+		if sf := stageFile(v); disk.Has(sf) {
+			disk.Rename(sf, core.ViewFile(v))
+			disk.Seal(core.ViewFile(v))
+		}
+	}
 }
 
 // ingestOnProc is the SPMD body of one batch.
 func ingestOnProc(p *cluster.Proc, batch *record.Table, cfg Config, sel []lattice.ViewID, out *procOut) {
 	d := cfg.D
-	clk := p.Clock()
 	disk := p.Disk()
 	p.SetOverlap(cfg.OverlapComm)
-	phase := func(name string) func() {
-		p.SetPhase(name)
-		start := clk.Seconds()
-		return func() {
-			clk.SettleComm()
-			out.phase[name] += clk.Seconds() - start
-		}
-	}
+	phase := core.PhaseTimer(p, out.phase)
 
 	// Stage this processor's contiguous share of the batch.
 	done := phase(PhaseIngest)
@@ -401,23 +334,8 @@ func ingestOnProc(p *cluster.Proc, batch *record.Table, cfg Config, sel []lattic
 		done()
 	}
 
-	// Commit: all processors synchronize, then swap staged slices in.
-	// Injected crashes fire at superstep entry and phase/epoch
-	// boundaries, so a crash anywhere in the batch aborts every
-	// processor at or before this barrier — no live file is renamed
-	// until the whole machine has finished merging. The swap itself is
-	// metadata-only (uncharged), like the build's cleanup renames.
 	p.SetPhase(PhaseDeltaMerge)
-	cluster.Barrier(p)
-	for _, v := range sel {
-		if sf := stageFile(v); disk.Has(sf) {
-			disk.Remove(core.ViewFile(v))
-			disk.Rename(sf, core.ViewFile(v))
-			// Staged slices are row-form; re-seal the replaced view so the
-			// live cube stays columnar (local charge only, no collective).
-			disk.Seal(core.ViewFile(v))
-		}
-	}
+	commit(p, sel)
 	disk.Remove(BatchFile)
 }
 
@@ -430,45 +348,18 @@ func ingestOnProc(p *cluster.Proc, batch *record.Table, cfg Config, sel []lattic
 // boundary merge.
 func deltaBuildDim(p *cluster.Proc, cfg Config, i int, partSel []lattice.ViewID) (bool, lattice.Order) {
 	d := cfg.D
-	disk := p.Disk()
-	clk := p.Clock()
 	root := lattice.Root(i, d)
 	rootOrder := lattice.Canonical(root)
 	rootDelta := deltaFile(root)
-	agg := rankAgg(cfg, p.Rank())
+	agg := cfg.Sketch.Rank(p.Rank()).Agg(cfg.Agg)
 
-	// Local delta root: sort + scan of the local batch share (the
-	// ingest analogue of build Step 1a).
-	b := disk.MustGet(BatchFile)
-	clk.AddCompute(costmodel.ScanOps(b.Len()))
-	disk.Put(rootDelta, b.Project([]int(rootOrder)))
-	if len(cfg.Cards) == d {
-		pc := make([]int, len(rootOrder))
-		for j, col := range rootOrder {
-			pc[j] = cfg.Cards[col]
-		}
-		extsort.SortPlan(disk, rootDelta, record.PlanKeyFromCards(pc))
-	} else {
-		extsort.Sort(disk, rootDelta)
-	}
-	localAggregate(p, rootDelta, agg)
+	// Local delta root: build Step 1a over the local batch share.
+	core.LocalRoot(p, BatchFile, rootDelta, rootOrder, cfg.Cards, agg)
 
 	// Boundary-aligned Adaptive–Sample–Sort: the live root's gathered
 	// last keys stand in for sampled pivots, so every delta row lands
 	// on the processor whose live slice covers its key range.
-	var last []uint32
-	if disk.Has(core.ViewFile(root)) {
-		last = mergepart.LastKey(p, core.ViewFile(root))
-	}
-	lasts := cluster.AllGather(p, last, record.DimBytes*len(rootOrder))
-	ranges := mergepart.KeyRanges(lasts)
-	aligned := false
-	for _, r := range ranges {
-		if r.Owner {
-			aligned = true
-			break
-		}
-	}
+	ranges, aligned := mergepart.GatherRanges(p, mergepart.LastKey(p, core.ViewFile(root)), len(rootOrder))
 	if aligned && p.P() > 1 {
 		mergepart.RouteMergeAgg(p, rootDelta, ranges, agg)
 	}
@@ -480,22 +371,7 @@ func deltaBuildDim(p *cluster.Proc, cfg Config, i int, partSel []lattice.ViewID)
 	if tree == nil {
 		tree = deltaTree(d, i, partSel, cfg.Orders)
 	}
-	sampleCap := cfg.SampleCap
-	if sampleCap == 0 {
-		sampleCap = 100 * p.P()
-	}
-	pipesort.ExecuteOpts(disk, tree, deltaFile, pipesort.Options{SampleCap: sampleCap, Op: cfg.Agg, State: agg.State})
-
-	// Drop delta intermediates the plan materialized but nobody merges.
-	selSet := map[lattice.ViewID]bool{}
-	for _, v := range partSel {
-		selSet[v] = true
-	}
-	tree.Walk(func(n *lattice.Node) {
-		if !selSet[n.View] {
-			disk.Remove(deltaFile(n.View))
-		}
-	})
+	core.ExecuteSchedule(p, tree, deltaFile, partSel, cfg.SampleCap, agg)
 	return aligned, rootOrder
 }
 
@@ -506,17 +382,13 @@ func deltaBuildDim(p *cluster.Proc, cfg Config, i int, partSel []lattice.ViewID)
 func mergeDelta(p *cluster.Proc, cfg Config, v lattice.ViewID, aligned bool, rootOrder lattice.Order, out *procOut) {
 	disk := p.Disk()
 	clk := p.Clock()
-	agg := rankAgg(cfg, p.Rank())
+	agg := cfg.Sketch.Rank(p.Rank()).Agg(cfg.Agg)
 	order := cfg.Orders[v]
 	df := deltaFile(v)
 	lf := core.ViewFile(v)
 	sf := stageFile(v)
 
-	dn := disk.Len(df)
-	if dn < 0 {
-		dn = 0
-	}
-	total := cluster.AllReduce(p, dn, 8, func(a, b int) int { return a + b })
+	total := cluster.AllReduce(p, max(disk.Len(df), 0), 8, func(a, b int) int { return a + b })
 	if total == 0 {
 		disk.Remove(df)
 		return
@@ -547,23 +419,12 @@ func mergeDelta(p *cluster.Proc, cfg Config, v lattice.ViewID, aligned bool, roo
 	if live.Len() > 0 {
 		last = live.RowCopy(live.Len() - 1)
 	}
-	lasts := cluster.AllGather(p, last, record.DimBytes*len(order))
-	ranges := mergepart.KeyRanges(lasts)
-	owners := 0
-	for _, r := range ranges {
-		if r.Owner {
-			owners++
-		}
-	}
-
-	if owners == 0 {
+	ranges, owned := mergepart.GatherRanges(p, last, len(order))
+	if !owned {
 		// Live view globally empty: the delta is the view. Distribute
 		// it with the full sample sort (Case 3 machinery).
 		disk.Put(sf, disk.MustTake(df))
-		if p.P() > 1 {
-			samplesort.SortPresortedAgg(p, sf, cfg.MergeGamma, agg)
-			mergepart.BoundaryAgglomerateAgg(p, sf, agg)
-		}
+		mergepart.Redistribute(p, sf, cfg.MergeGamma, agg)
 		out.cases[mergepart.CaseGlobalSort]++
 		return
 	}
@@ -579,22 +440,12 @@ func mergeDelta(p *cluster.Proc, cfg Config, v lattice.ViewID, aligned bool, roo
 	// merged view drifted past the balance threshold, redistribute
 	// (Case 3).
 	sizes := cluster.AllGather(p, merged.Len(), 8)
-	if p.P() > 1 && balance.Imbalance(sizes) > cfg.MergeGamma {
-		samplesort.SortPresortedAgg(p, sf, cfg.MergeGamma, agg)
-		mergepart.BoundaryAgglomerateAgg(p, sf, agg)
+	if balance.Imbalance(sizes) > cfg.MergeGamma {
+		mergepart.Redistribute(p, sf, cfg.MergeGamma, agg)
 		out.cases[mergepart.CaseGlobalSort]++
 		return
 	}
 	out.cases[mergepart.CaseOverlap]++
-}
-
-// localAggregate rewrites a sorted file with adjacent duplicate keys
-// collapsed (the same sequential scan as build Step 1a).
-func localAggregate(p *cluster.Proc, file string, agg record.Agg) {
-	disk := p.Disk()
-	t := disk.MustTake(file)
-	p.Clock().AddCompute(costmodel.ScanOps(t.Len()))
-	disk.Put(file, record.AggregateSortedAgg(t, t.D, agg))
 }
 
 // deltaTree derives a schedule tree for dimension i from the agreed

@@ -90,25 +90,22 @@ func checkMatchesRebuild(t *testing.T, spec gen.Spec, p, base int, splits []int,
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.AddTo(&met)
+		if res.Rows != int64(b) {
+			t.Fatalf("batch of %d rows reports %d", b, res.Rows)
+		}
 		results = append(results, res)
 		lo += b
 	}
 	oracle := rebuild(t, g, lo, p, cfg)
+	last := results[len(results)-1]
 	for _, v := range selectedViews(cfg) {
 		got, want := gatherView(m, v), gatherView(oracle, v)
 		if !record.Equal(got, want) {
 			t.Fatalf("view %v: incremental result differs from rebuild (%d rows vs %d)", v, got.Len(), want.Len())
 		}
-		if met.ViewRows[v] != int64(want.Len()) {
-			t.Fatalf("view %v: metrics say %d rows, rebuild has %d", v, met.ViewRows[v], want.Len())
+		if last.ViewRows[v] != int64(want.Len()) {
+			t.Fatalf("view %v: result says %d rows, rebuild has %d", v, last.ViewRows[v], want.Len())
 		}
-	}
-	if met.IngestedRows != int64(lo-base) {
-		t.Fatalf("IngestedRows = %d, want %d", met.IngestedRows, lo-base)
-	}
-	if met.IngestBatches != int64(len(splits)) {
-		t.Fatalf("IngestBatches = %d, want %d", met.IngestBatches, len(splits))
 	}
 	return results
 }
@@ -450,43 +447,45 @@ func TestDeltaTreeValidates(t *testing.T) {
 	}
 }
 
-func TestResultAddTo(t *testing.T) {
-	met := core.Metrics{
-		PhaseSeconds: map[string]float64{},
-		BytesByPhase: map[string]int64{},
-		CaseCounts:   map[mergepart.Case]int{},
-		ViewRows:     map[lattice.ViewID]int64{3: 10},
+// TestResultAccounting checks one batch's Result against the machine
+// it ran on: the per-view figures are what the disks hold, and the
+// phase split adds up.
+func TestResultAccounting(t *testing.T) {
+	spec := gen.Spec{N: 3000, D: 3, Cards: []int{10, 7, 4}, Seed: 17}
+	g := gen.New(spec)
+	cfg := core.Config{D: 3}
+	m, met := buildBase(t, g, 2500, 3, cfg)
+	st0 := m.Stats()
+	res, err := IngestBatch(m, g.Table(2500, 3000), ingestConfig(cfg, met))
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := Result{
-		Rows:              100,
-		SimSeconds:        2,
-		PhaseSeconds:      map[string]float64{PhaseIngest: 1.5, PhaseDeltaMerge: 0.5},
-		BytesMoved:        800,
-		Supersteps:        6,
-		DeltaMergeBytes:   300,
-		DeltaMergeSeconds: 0.5,
-		CaseCounts:        map[mergepart.Case]int{mergepart.CasePrefix: 2},
-		ViewRows:          map[lattice.ViewID]int64{3: 12, 1: 4},
+	if res.Rows != 500 || res.P != 3 {
+		t.Fatalf("batch shape wrong: %+v", res)
 	}
-	res.AddTo(&met)
-	res.AddTo(&met)
-	if met.IngestedRows != 200 || met.IngestBatches != 2 {
-		t.Fatalf("ingest counters wrong: %+v", met)
+	if res.DeltaMergeSeconds != res.PhaseSeconds[PhaseDeltaMerge] || res.PhaseSeconds[PhaseIngest] <= 0 {
+		t.Fatalf("phase seconds wrong: %+v", res.PhaseSeconds)
 	}
-	if met.IngestSeconds != 3 || met.DeltaMergeSeconds != 1 {
-		t.Fatalf("ingest seconds wrong: %+v", met)
+	if got := m.Stats().BytesMoved - st0.BytesMoved; res.BytesMoved != got || res.DeltaMergeBytes <= 0 || res.DeltaMergeBytes > got {
+		t.Fatalf("bytes wrong: moved %d, deltamerge %d, machine says %d", res.BytesMoved, res.DeltaMergeBytes, got)
 	}
-	if met.DeltaMergeBytes != 600 || met.BytesMoved != 1600 {
-		t.Fatalf("ingest bytes wrong: %+v", met)
+	merged := 0
+	for _, n := range res.CaseCounts {
+		merged += n
 	}
-	if met.ViewRows[3] != 12 || met.ViewRows[1] != 4 {
-		t.Fatalf("view rows not refreshed: %+v", met.ViewRows)
+	if merged != len(res.Changed) {
+		t.Fatalf("%d merge cases for %d changed views", merged, len(res.Changed))
 	}
-	wantRows := int64(16)
-	if met.OutputRows != wantRows {
-		t.Fatalf("OutputRows = %d, want %d", met.OutputRows, wantRows)
-	}
-	if met.CaseCounts[mergepart.CasePrefix] != 4 {
-		t.Fatalf("case counts not accumulated: %+v", met.CaseCounts)
+	for _, v := range lattice.AllViews(3) {
+		var rows, stored int64
+		for r := 0; r < m.P(); r++ {
+			disk := m.Proc(r).Disk()
+			rows += int64(disk.Len(core.ViewFile(v)))
+			stored += int64(disk.StoredBytes(core.ViewFile(v)))
+		}
+		if res.ViewRows[v] != rows || res.ViewBytesStored[v] != stored {
+			t.Fatalf("view %v: result says %d rows / %d bytes, disks hold %d / %d",
+				v, res.ViewRows[v], res.ViewBytesStored[v], rows, stored)
+		}
 	}
 }

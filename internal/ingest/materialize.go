@@ -5,12 +5,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/costmodel"
-	"repro/internal/extsort"
 	"repro/internal/lattice"
 	"repro/internal/mergepart"
 	"repro/internal/record"
-	"repro/internal/samplesort"
 	"repro/internal/sketch"
 )
 
@@ -52,15 +49,18 @@ type MaterializeResult struct {
 }
 
 // MaterializeView builds one view online from a materialized ancestor,
-// without touching the raw fact table or any other view: every
-// processor scans its local slice of the ancestor, projects it onto
-// the target's attribute order, sorts and partially aggregates, then a
-// presorted sample sort redistributes so the new view is globally
-// sorted and range-partitioned like every build-time view (p = 1
-// skips the exchange). The slices land under a stage name and are
-// renamed to the live view file only after a commit barrier, so an
-// error leaves the cube untouched. Call it under the engine's
-// Maintain drain barrier; it runs supersteps on the machine.
+// without touching the raw fact table or any other view. It is
+// Procedure 1 Steps 2–3 with the ancestor in the role of the partition
+// root: a one-edge schedule tree (a scan edge when the target's order
+// is a prefix of the ancestor's live order, a sort edge otherwise) is
+// executed from each processor's ancestor slice into a stage file, and
+// Merge–Partitions places the view across the processors — Case 1 for
+// prefix targets, Case 2 for balanced ones, the Case 3 redistribution
+// only past the merge threshold — so the new view is globally sorted
+// and range-partitioned like every build-time view. The stage slices
+// go live (and are sealed) only after the commit barrier, so an error
+// leaves the cube untouched. Call it under the engine's Maintain drain
+// barrier; it runs supersteps on the machine.
 func MaterializeView(m *cluster.Machine, opts MaterializeOptions) (MaterializeResult, error) {
 	if opts.MergeGamma == 0 {
 		opts.MergeGamma = 0.03
@@ -80,74 +80,46 @@ func MaterializeView(m *cluster.Machine, opts MaterializeOptions) (MaterializeRe
 	if opts.Agg.Holistic() && opts.Sketch == nil {
 		return MaterializeResult{}, fmt.Errorf("ingest: holistic aggregate %v requires a sketch store", opts.Agg)
 	}
+	core.ChargeSketchPayloads(m, opts.Agg, opts.Sketch)
 
-	// Column of each source dimension in the ancestor's layout.
-	col := make(map[int]int, len(opts.SrcOrder))
-	for c, dim := range opts.SrcOrder {
-		col[dim] = c
+	dims := opts.Src.Dims() // non-empty: Src strictly contains View
+	tree := lattice.NewTree(dims[len(dims)-1]+1, opts.Src, opts.SrcOrder)
+	edge := lattice.EdgeSort
+	if opts.Order.IsPrefixOf(opts.SrcOrder) {
+		edge = lattice.EdgeScan
 	}
-	proj := make([]int, len(opts.Order))
-	for j, dim := range opts.Order {
-		c, ok := col[dim]
-		if !ok {
-			return MaterializeResult{}, fmt.Errorf("ingest: source %v lacks dimension %d", opts.Src, dim)
+	tree.AddChild(opts.Src, opts.View, opts.Order, edge)
+	fileOf := func(v lattice.ViewID) string {
+		if v == opts.View {
+			return stageFile(v)
 		}
-		proj[j] = c
+		return core.ViewFile(v)
 	}
 
-	sf := stageFile(opts.View)
-	srcFile := core.ViewFile(opts.Src)
-	np := m.P()
-	srcRows := make([]int64, np)
 	t0 := m.SimSeconds()
 	bytes0 := m.Stats().BytesMoved
 	err := m.Run(func(p *cluster.Proc) {
 		p.SetPhase(PhaseAdvise)
-		disk := p.Disk()
-		clk := p.Clock()
-		agg := record.Agg{Op: opts.Agg}
-		if opts.Sketch != nil && opts.Agg.Holistic() {
-			agg.State = opts.Sketch.Rank(p.Rank())
-		}
-		var local *record.Table
-		if disk.Len(srcFile) > 0 {
-			local = disk.MustGet(srcFile) // charged read
+		agg := opts.Sketch.Rank(p.Rank()).Agg(opts.Agg)
+		if p.Disk().Has(fileOf(opts.Src)) {
+			core.ExecuteSchedule(p, tree, fileOf, tree.Views(), 0, agg)
 		} else {
-			local = record.New(len(opts.SrcOrder), 0)
+			// No ancestor slice here: this processor's local copy is empty.
+			p.Disk().Put(fileOf(opts.View), record.New(len(opts.Order), 0))
 		}
-		srcRows[p.Rank()] = int64(local.Len())
-		clk.AddCompute(costmodel.ScanOps(local.Len()))
-		disk.Put(sf, local.Project(proj))
-		// Local sort + adjacent aggregation; the ancestor slice is
-		// sorted in SrcOrder, which need not sort the projection.
-		extsort.Sort(disk, sf)
-		localAggregate(p, sf, agg)
-		if np > 1 {
-			// Redistribute to the global order; equal keys arriving
-			// from different processors collapse during the merge and
-			// at the boundaries.
-			samplesort.SortPresortedAgg(p, sf, opts.MergeGamma, agg)
-			mergepart.BoundaryAgglomerateAgg(p, sf, agg)
-		}
-		cluster.Barrier(p) // commit: every slice staged successfully
-		disk.Remove(core.ViewFile(opts.View))
-		disk.Rename(sf, core.ViewFile(opts.View))
+		mergepart.MergeViewAgg(p, fileOf(opts.View), opts.View, opts.Order, opts.Order, opts.SrcOrder, opts.MergeGamma, agg)
+		commit(p, []lattice.ViewID{opts.View})
 	})
 	if err != nil {
-		for r := 0; r < np; r++ {
-			m.Proc(r).Disk().Remove(sf)
-		}
+		discardStaged(m)
 		return MaterializeResult{}, err
 	}
-	res := MaterializeResult{
+	return MaterializeResult{
 		Rows:       core.ViewGlobalRows(m, opts.View),
+		SrcRows:    core.ViewGlobalRows(m, opts.Src),
 		SimSeconds: m.SimSeconds() - t0,
 		BytesMoved: m.Stats().BytesMoved - bytes0,
-	}
-	for _, n := range srcRows {
-		res.SrcRows += n
-	}
-	return res, nil
+	}, nil
 }
 
 // RetireView deletes a view's slices on every processor. It is

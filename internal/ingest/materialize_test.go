@@ -16,26 +16,47 @@ import (
 func TestMaterializeMatchesBuild(t *testing.T) {
 	spec := gen.Spec{N: 4200, D: 4, Cards: []int{12, 8, 5, 3}, Seed: 31}
 	full := lattice.ViewID(1<<4 - 1)
-	targets := []lattice.ViewID{
-		lattice.Root(0, 4).Remove(1), // non-prefix subset
-		lattice.Root(2, 4),           // a root from another partition
-		lattice.Empty,                // grand total
+	nonPrefix := lattice.Root(0, 4).Remove(1) // ACD: Case 2 or 3 under ABCD
+	prefix := lattice.Root(0, 4).Remove(3)    // ABC: a scan edge and Case 1
+	cases := []struct {
+		p         int
+		src       lattice.ViewID
+		targets   []lattice.ViewID
+		dropEmpty bool // remove the ancestor's empty slices first
+	}{
+		{p: 1, src: full, targets: []lattice.ViewID{nonPrefix, prefix, lattice.Root(2, 4), lattice.Empty}},
+		{p: 3, src: full, targets: []lattice.ViewID{nonPrefix, prefix, lattice.Root(2, 4), lattice.Empty}},
+		// D has 3 rows: on 4 processors one holds no slice of it at all.
+		{p: 4, src: lattice.Root(3, 4), targets: []lattice.ViewID{lattice.Empty}, dropEmpty: true},
 	}
-	for _, p := range []int{1, 3} {
-		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("p%d-from-%v", c.p, c.src), func(t *testing.T) {
 			g := gen.New(spec)
-			m, met := buildBase(t, g, spec.N, p, core.Config{D: 4})
-			for _, v := range targets {
+			m, met := buildBase(t, g, spec.N, c.p, core.Config{D: 4})
+			if c.dropEmpty {
+				dropped := 0
+				for r := 0; r < c.p; r++ {
+					if disk := m.Proc(r).Disk(); disk.Len(core.ViewFile(c.src)) == 0 {
+						disk.Remove(core.ViewFile(c.src))
+						dropped++
+					}
+				}
+				if dropped == 0 {
+					t.Fatalf("every rank holds rows of %v; the case needs one without", c.src)
+				}
+			}
+			moved := map[lattice.ViewID]int64{}
+			for _, v := range c.targets {
 				want := gatherView(m, v)
 				RetireView(m, v)
-				for r := 0; r < p; r++ {
+				for r := 0; r < c.p; r++ {
 					if m.Proc(r).Disk().Has(core.ViewFile(v)) {
 						t.Fatalf("view %v still on rank %d after retire", v, r)
 					}
 				}
 				res, err := MaterializeView(m, MaterializeOptions{
-					Src:      full,
-					SrcOrder: met.ViewOrders[full],
+					Src:      c.src,
+					SrcOrder: met.ViewOrders[c.src],
 					View:     v,
 					Order:    met.ViewOrders[v],
 				})
@@ -50,16 +71,29 @@ func TestMaterializeMatchesBuild(t *testing.T) {
 				if res.Rows != int64(want.Len()) {
 					t.Fatalf("view %v: result says %d rows, cube has %d", v, res.Rows, want.Len())
 				}
-				if res.SrcRows != core.ViewGlobalRows(m, full) {
+				if res.SrcRows != core.ViewGlobalRows(m, c.src) {
 					t.Fatalf("view %v: scanned %d source rows, ancestor has %d",
-						v, res.SrcRows, core.ViewGlobalRows(m, full))
+						v, res.SrcRows, core.ViewGlobalRows(m, c.src))
 				}
 				if res.SimSeconds <= 0 {
 					t.Fatalf("view %v: no simulated time charged", v)
 				}
-				if p > 1 && res.BytesMoved <= 0 {
-					t.Fatalf("view %v: no communication charged at p=%d", v, p)
+				if c.p > 1 && res.BytesMoved <= 0 {
+					t.Fatalf("view %v: no communication charged at p=%d", v, c.p)
 				}
+				for r := 0; r < c.p; r++ {
+					if disk := m.Proc(r).Disk(); !disk.Sealed(core.ViewFile(v)) {
+						t.Fatalf("view %v: slice on rank %d went live unsealed", v, r)
+					}
+				}
+				checkNoBatchState(t, m)
+				moved[v] = res.BytesMoved
+			}
+			// A prefix target is placed by the Case 1 boundary exchange; it
+			// must not pay the redistribution a non-prefix target does.
+			if c.p > 1 && c.src == full && moved[prefix] >= moved[nonPrefix] {
+				t.Fatalf("prefix target moved %d bytes, non-prefix target of the same ancestor %d",
+					moved[prefix], moved[nonPrefix])
 			}
 		})
 	}

@@ -17,7 +17,7 @@
 //     agglomerated, and boundary-merged.
 //
 // In local-schedule-tree mode (§2.3/§4.2), processors may have
-// materialized a view in different attribute orders; MergeView first
+// materialized a view in different attribute orders; MergeViewAgg first
 // re-sorts any local copy whose order differs from the agreed target
 // order — the expensive step that makes local trees lose to global
 // trees.
@@ -69,24 +69,15 @@ type ViewResult struct {
 	Imbalance float64 // estimated I(|v'0..v'p-1|) behind the 2/3 decision
 }
 
-// MergeView merges one view across all processors (SPMD: every
+// MergeViewAgg merges one view across all processors (SPMD: every
 // processor calls it with the same view, targetOrder, globalOrder and
 // gamma). file names the local copy on each disk, sorted in
 // localOrder with locally distinct keys. After return, file holds this
 // processor's slice of the merged view, sorted in targetOrder, with
-// globally distinct keys across processors.
-func MergeView(p *cluster.Proc, file string, view lattice.ViewID, localOrder, targetOrder, globalOrder lattice.Order, gamma float64) ViewResult {
-	return MergeViewOp(p, file, view, localOrder, targetOrder, globalOrder, gamma, record.OpSum)
-}
-
-// MergeViewOp is MergeView with an explicit aggregate operator.
-func MergeViewOp(p *cluster.Proc, file string, view lattice.ViewID, localOrder, targetOrder, globalOrder lattice.Order, gamma float64, op record.AggOp) ViewResult {
-	return MergeViewAgg(p, file, view, localOrder, targetOrder, globalOrder, gamma, record.Agg{Op: op})
-}
-
-// MergeViewAgg is MergeView with sketch state for holistic operators:
-// every cross-processor agglomeration combines sketches through this
-// processor's combiner and seals before rows ship or land on disk.
+// globally distinct keys across processors. Every cross-processor
+// agglomeration combines through agg — for holistic operators, this
+// processor's sketch combiner — and seals before rows ship or land on
+// disk.
 func MergeViewAgg(p *cluster.Proc, file string, view lattice.ViewID, localOrder, targetOrder, globalOrder lattice.Order, gamma float64, agg record.Agg) ViewResult {
 	res := ViewResult{View: view}
 	if !localOrder.Equal(targetOrder) {
@@ -112,34 +103,40 @@ func MergeViewAgg(p *cluster.Proc, file string, view lattice.ViewID, localOrder,
 	}
 
 	// Non-prefix: estimate the per-range totals |v'j| from samples.
-	last := LastKey(p, file)
-	lasts := cluster.AllGather(p, last, record.DimBytes*len(targetOrder))
-	ranges := KeyRanges(lasts)
+	ranges, _ := GatherRanges(p, LastKey(p, file), len(targetOrder))
 	est := estimateContributions(p, file, ranges)
 	totals := cluster.AllReduce(p, est, 8*p.P(), addVectors)
 	res.Imbalance = balance.Imbalance(totals)
 
 	if res.Imbalance <= gamma {
 		res.Case = CaseOverlap
-		res.Rows = overlapMerge(p, file, ranges, agg)
+		res.Rows = RouteMergeAgg(p, file, ranges, agg)
 		return res
 	}
 
 	res.Case = CaseGlobalSort
-	samplesort.SortPresortedAgg(p, file, gamma, agg)
-	res.Rows = BoundaryAgglomerateAgg(p, file, agg)
+	res.Rows = Redistribute(p, file, gamma, agg)
 	return res
+}
+
+// Redistribute is the Case 3 step every schedule shares: the locally
+// sorted, locally duplicate-free copies of file are globally sorted and
+// rebalanced with a presorted Adaptive–Sample–Sort, then equal keys
+// left facing each other across processor boundaries are agglomerated.
+// One processor already holds the global order. Returns the final local
+// row count.
+func Redistribute(p *cluster.Proc, file string, gamma float64, agg record.Agg) int {
+	if p.P() == 1 {
+		return p.Disk().Len(file)
+	}
+	samplesort.SortPresortedAgg(p, file, gamma, agg)
+	return BoundaryAgglomerateAgg(p, file, agg)
 }
 
 // resortLocal rewrites the local view copy from localOrder into
 // targetOrder (projection + external sort), refreshing the sample.
 func resortLocal(p *cluster.Proc, file string, localOrder, targetOrder lattice.Order) {
-	disk := p.Disk()
-	t := disk.MustTake(file)
-	cols := targetOrder.ProjectionFrom(localOrder)
-	p.Clock().AddCompute(costmodel.ScanOps(t.Len()))
-	disk.Put(file, t.Project(cols))
-	extsort.Sort(disk, file)
+	extsort.ProjectSort(p.Disk(), file, file, targetOrder.ProjectionFrom(localOrder), nil)
 	refreshSample(p, file)
 }
 
@@ -148,18 +145,9 @@ func resortLocal(p *cluster.Proc, file string, localOrder, targetOrder lattice.O
 func refreshSample(p *cluster.Proc, file string) {
 	disk := p.Disk()
 	t := disk.MustGet(file)
-	sm := sample.NewOnline(sampleCap(p))
+	sm := sample.NewOnline(100 * p.P()) // the paper's a = 100p
 	sm.AddTable(t)
 	disk.SetMeta(file, sm)
-}
-
-// sampleCap is the paper's a = 100p, with a small floor.
-func sampleCap(p *cluster.Proc) int {
-	a := 100 * p.P()
-	if a < 16 {
-		a = 16
-	}
-	return a
 }
 
 // LastKey reads this processor's final row key, or nil for an empty
@@ -182,26 +170,28 @@ type KeyRange struct {
 	Lo, Hi []uint32
 }
 
-// KeyRanges derives the per-processor ranges from the gathered last
-// keys: processor j owns (last of previous non-empty, last of j], with
-// the final non-empty processor's range extended to +inf.
-func KeyRanges(lasts [][]uint32) []KeyRange {
-	p := len(lasts)
-	ranges := make([]KeyRange, p)
+// GatherRanges agrees on the per-processor merge ranges from every
+// processor's last key (nil for an empty slice; cols columns wide):
+// processor j owns (last of previous non-empty, last of j], with the
+// final non-empty processor's range extended to +inf. It also reports
+// whether any processor owns a range at all.
+func GatherRanges(p *cluster.Proc, last []uint32, cols int) ([]KeyRange, bool) {
+	lasts := cluster.AllGather(p, last, record.DimBytes*cols)
+	ranges := make([]KeyRange, len(lasts))
 	var prev []uint32
 	lastOwner := -1
-	for j := 0; j < p; j++ {
-		if lasts[j] == nil {
+	for j, l := range lasts {
+		if l == nil {
 			continue
 		}
-		ranges[j] = KeyRange{Owner: true, Lo: prev, Hi: lasts[j]}
-		prev = lasts[j]
+		ranges[j] = KeyRange{Owner: true, Lo: prev, Hi: l}
+		prev = l
 		lastOwner = j
 	}
 	if lastOwner >= 0 {
 		ranges[lastOwner].Hi = nil // extend to +inf
 	}
-	return ranges
+	return ranges, lastOwner >= 0
 }
 
 // estimateContributions estimates, from this processor's spaced
@@ -237,26 +227,14 @@ func addVectors(a, b []int) []int {
 	return out
 }
 
-// RouteMerge routes every local row of file to its key-range owner
-// and merges the received sorted runs — the Case 2 overlap exchange,
-// separated from MergeView's case selection. Exported for incremental
-// ingest, which reuses it both to align delta roots with the live
-// root's slice boundaries and to exchange delta overlap runs before
-// two-way merging into non-prefix views.
-func RouteMerge(p *cluster.Proc, file string, ranges []KeyRange, op record.AggOp) int {
-	return overlapMerge(p, file, ranges, record.Agg{Op: op})
-}
-
-// RouteMergeAgg is RouteMerge with sketch state for holistic
-// operators.
+// RouteMergeAgg is Case 2: route every local row of file to its
+// key-range owner, then merge and agglomerate the received sorted runs.
+// When no rows cross processor boundaries the file is left untouched
+// (no rewrite). Exported for incremental ingest, which reuses it both
+// to align delta roots with the live root's slice boundaries and to
+// exchange delta overlap runs before two-way merging into non-prefix
+// views.
 func RouteMergeAgg(p *cluster.Proc, file string, ranges []KeyRange, agg record.Agg) int {
-	return overlapMerge(p, file, ranges, agg)
-}
-
-// overlapMerge is Case 2: route every local row to its range owner,
-// then merge and agglomerate the received sorted runs. When no rows
-// cross processor boundaries the file is left untouched (no rewrite).
-func overlapMerge(p *cluster.Proc, file string, ranges []KeyRange, agg record.Agg) int {
 	disk := p.Disk()
 	t := disk.MustGet(file) // read to route; not yet rewritten
 	np := p.P()
@@ -316,23 +294,18 @@ type boundaryInfo struct {
 	FirstMeas int64
 }
 
-// BoundaryAgglomerate merges equal keys across processor boundaries
+// BoundaryAgglomerateAgg merges equal keys across processor boundaries
 // for a view whose cross-processor concatenation is globally sorted
 // and whose local copies are duplicate-free. It iterates the paper's
 // first-item exchange until a fixpoint, which also handles the corner
 // case of a single key spanning more than two processors. Only
 // boundary rows are read and touched: Case 1 costs point I/O, not a
-// view rewrite. Returns the final local row count. Exported for the
-// incremental-ingest delta merge, which reuses the same cascade after
-// merging delta slices into prefix views.
-func BoundaryAgglomerate(p *cluster.Proc, file string, op record.AggOp) int {
-	return BoundaryAgglomerateAgg(p, file, record.Agg{Op: op})
-}
-
-// BoundaryAgglomerateAgg is BoundaryAgglomerate with sketch state for
-// holistic operators. Every measure the cascade combines is sealed
-// before it ships in a boundary digest or lands in the view file, and
-// digests carrying sketch handles charge the sketch payload bytes.
+// view rewrite. Returns the final local row count. Every measure the
+// cascade combines is sealed before it ships in a boundary digest or
+// lands in the view file, and digests carrying sketch handles charge
+// the sketch payload bytes. Exported for the incremental-ingest delta
+// merge, which reuses the same cascade after merging delta slices into
+// prefix views.
 func BoundaryAgglomerateAgg(p *cluster.Proc, file string, agg record.Agg) int {
 	disk := p.Disk()
 	np := p.P()

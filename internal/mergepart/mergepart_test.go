@@ -23,7 +23,7 @@ func runMergeView(t *testing.T, parts []*record.Table, view lattice.ViewID, loca
 		m.Proc(i).Disk().Put("v", tb)
 	}
 	m.Run(func(pr *cluster.Proc) {
-		results[pr.Rank()] = MergeView(pr, "v", view, localOrders[pr.Rank()], targetOrder, globalOrder, gamma)
+		results[pr.Rank()] = MergeViewAgg(pr, "v", view, localOrders[pr.Rank()], targetOrder, globalOrder, gamma, record.Agg{Op: record.OpSum})
 	})
 	out := make([]*record.Table, p)
 	for i := 0; i < p; i++ {
@@ -40,7 +40,7 @@ func checkMerged(t *testing.T, out []*record.Table, inputsInTarget []*record.Tab
 	for _, tb := range inputsInTarget {
 		union.AppendTable(tb)
 	}
-	want := record.SortAggregate(union)
+	want := record.SortAggregateAgg(union, record.Agg{Op: record.OpSum})
 	concat := record.New(want.D, 0)
 	for i, tb := range out {
 		if !tb.IsSorted() {
@@ -312,7 +312,7 @@ func TestQuickMergeRandomDistributions(t *testing.T) {
 			m.Proc(i).Disk().Put("v", tb)
 		}
 		m.Run(func(pr *cluster.Proc) {
-			MergeView(pr, "v", mustParse("AB"), order, order, global, gamma)
+			MergeViewAgg(pr, "v", mustParse("AB"), order, order, global, gamma, record.Agg{Op: record.OpSum})
 		})
 		union := record.New(2, 0)
 		concat := record.New(2, 0)
@@ -333,7 +333,7 @@ func TestQuickMergeRandomDistributions(t *testing.T) {
 				prevLast = concat.Len() - 1
 			}
 		}
-		want := record.SortAggregate(union)
+		want := record.SortAggregateAgg(union, record.Agg{Op: record.OpSum})
 		return record.Equal(concat, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

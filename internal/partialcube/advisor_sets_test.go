@@ -133,8 +133,8 @@ func TestPlanPrunedGreedyAgreeOnContents(t *testing.T) {
 		}
 		disk := simdisk.New(costmodel.NewClock(costmodel.Default()))
 		proj := raw.Project([]int(tree.Root.Order))
-		disk.Put("view."+tree.Root.View.String(), record.SortAggregate(proj))
-		pipesort.Execute(disk, tree, func(v lattice.ViewID) string { return "view." + v.String() })
+		disk.Put("view."+tree.Root.View.String(), record.SortAggregateAgg(proj, record.Agg{Op: record.OpSum}))
+		pipesort.ExecuteOpts(disk, tree, func(v lattice.ViewID) string { return "view." + v.String() }, pipesort.Options{})
 		out := map[lattice.ViewID]*record.Table{}
 		for _, v := range sel {
 			// Project onto canonical order so the two planners' possibly
@@ -150,7 +150,7 @@ func TestPlanPrunedGreedyAgreeOnContents(t *testing.T) {
 			for j, dim := range canon {
 				proj[j] = colOf[dim]
 			}
-			out[v] = record.SortAggregate(tb.Project(proj))
+			out[v] = record.SortAggregateAgg(tb.Project(proj), record.Agg{Op: record.OpSum})
 		}
 		results[kind] = out
 	}

@@ -163,8 +163,8 @@ func TestPartialExecutionCorrectness(t *testing.T) {
 		}
 		disk := simdisk.New(costmodel.NewClock(costmodel.Default()))
 		proj := raw.Project([]int(tree.Root.Order))
-		disk.Put("view."+tree.Root.View.String(), record.SortAggregate(proj))
-		pipesort.Execute(disk, tree, func(v lattice.ViewID) string { return "view." + v.String() })
+		disk.Put("view."+tree.Root.View.String(), record.SortAggregateAgg(proj, record.Agg{Op: record.OpSum}))
+		pipesort.ExecuteOpts(disk, tree, func(v lattice.ViewID) string { return "view." + v.String() }, pipesort.Options{})
 		for _, v := range sel {
 			n := tree.Node(v)
 			got := disk.MustGet("view." + v.String())

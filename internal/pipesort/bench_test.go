@@ -40,6 +40,6 @@ func BenchmarkExecutePartition(b *testing.B) {
 		disk := simdisk.New(costmodel.NewClock(costmodel.Default()))
 		prepRoot(disk, raw, tree.Root.Order)
 		b.StartTimer()
-		Execute(disk, tree, fileOf)
+		ExecuteOpts(disk, tree, fileOf, Options{})
 	}
 }

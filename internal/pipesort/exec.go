@@ -34,19 +34,14 @@ type Stats struct {
 	RowsEmitted int64 // rows written across all materialized views
 }
 
-// Execute materializes every view of the schedule tree on disk.
+// ExecuteOpts materializes every view of the schedule tree on disk.
 //
 // The root's data must already be stored under fileOf(root view),
 // sorted in the root's attribute order and duplicate-free (the
-// Di-root||j produced by Procedure 1 Step 1c, or the aggregated raw
-// data for the sequential baseline). Each remaining view v of the tree
-// is written to fileOf(v), sorted in v's attribute order with columns
-// following that order.
-func Execute(disk *simdisk.Disk, tree *lattice.Tree, fileOf func(lattice.ViewID) string) Stats {
-	return ExecuteOpts(disk, tree, fileOf, Options{})
-}
-
-// ExecuteOpts is Execute with explicit options.
+// Di-root||j produced by Procedure 1 Step 1c, the aggregated raw data
+// for the sequential baseline, or a live ancestor slice for an online
+// view). Each remaining view v of the tree is written to fileOf(v),
+// sorted in v's attribute order with columns following that order.
 func ExecuteOpts(disk *simdisk.Disk, tree *lattice.Tree, fileOf func(lattice.ViewID) string, opts Options) Stats {
 	if !disk.Has(fileOf(tree.Root.View)) {
 		panic(fmt.Sprintf("pipesort: root input %q missing", fileOf(tree.Root.View)))
@@ -63,13 +58,8 @@ func ExecuteOpts(disk *simdisk.Disk, tree *lattice.Tree, fileOf func(lattice.Vie
 				if w.Edge != lattice.EdgeSort {
 					continue
 				}
-				src := disk.MustGet(fileOf(m.View))
-				cols := w.Order.ProjectionFrom(m.Order)
-				disk.Clock().AddCompute(costmodel.ScanOps(src.Len()))
-				proj := src.Project(cols)
 				tmp := fmt.Sprintf("tmp.sort.%s", w.View)
-				disk.Put(tmp, proj)
-				extsort.Sort(disk, tmp)
+				extsort.ProjectSort(disk, fileOf(m.View), tmp, w.Order.ProjectionFrom(m.Order), nil)
 				sorted := disk.MustTake(tmp)
 				st.Sorts++
 				emitChain(disk, sorted, lattice.ScanChain(w), true, fileOf, opts, &st)

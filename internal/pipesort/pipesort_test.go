@@ -82,7 +82,7 @@ func fileOf(v lattice.ViewID) string { return "view." + v.String() }
 // stores it on disk.
 func prepRoot(disk *simdisk.Disk, raw *record.Table, rootOrder lattice.Order) {
 	proj := raw.Project([]int(rootOrder))
-	root := record.SortAggregate(proj)
+	root := record.SortAggregateAgg(proj, record.Agg{Op: record.OpSum})
 	disk.Put(fileOf(rootOrder.View()), root)
 }
 
@@ -182,7 +182,7 @@ func TestExecutePartitionCorrectness(t *testing.T) {
 		disk := simdisk.New(costmodel.NewClock(costmodel.Default()))
 		tree := PlanPartition(i, d, sizer)
 		prepRoot(disk, raw, tree.Root.Order)
-		st := Execute(disk, tree, fileOf)
+		st := ExecuteOpts(disk, tree, fileOf, Options{})
 		if st.Pipelines == 0 || st.RowsEmitted == 0 {
 			t.Fatalf("partition %d: empty stats %+v", i, st)
 		}
@@ -206,7 +206,7 @@ func TestExecuteFullCubeSequential(t *testing.T) {
 	}
 	disk := simdisk.New(costmodel.NewClock(costmodel.Default()))
 	prepRoot(disk, raw, tree.Root.Order)
-	Execute(disk, tree, fileOf)
+	ExecuteOpts(disk, tree, fileOf, Options{})
 	count := 0
 	tree.Walk(func(n *lattice.Node) {
 		count++
@@ -223,7 +223,7 @@ func TestExecuteEmptyInput(t *testing.T) {
 	tree := PlanPartition(0, d, sizer)
 	disk := simdisk.New(costmodel.NewClock(costmodel.Default()))
 	disk.Put(fileOf(tree.Root.View), record.New(3, 0))
-	Execute(disk, tree, fileOf)
+	ExecuteOpts(disk, tree, fileOf, Options{})
 	tree.Walk(func(n *lattice.Node) {
 		if got := disk.MustGet(fileOf(n.View)); got.Len() != 0 {
 			t.Fatalf("view %v should be empty, has %d rows", n.View, got.Len())
@@ -238,7 +238,7 @@ func TestExecuteSingleRow(t *testing.T) {
 	tree := PlanPartition(0, d, sizer)
 	disk := simdisk.New(costmodel.NewClock(costmodel.Default()))
 	prepRoot(disk, raw, tree.Root.Order)
-	Execute(disk, tree, fileOf)
+	ExecuteOpts(disk, tree, fileOf, Options{})
 	tree.Walk(func(n *lattice.Node) {
 		got := disk.MustGet(fileOf(n.View))
 		if got.Len() != 1 || got.Meas(0) != 7 {
@@ -257,7 +257,7 @@ func TestExecuteChargesTime(t *testing.T) {
 	tree := PlanPartition(0, d, sizer)
 	prepRoot(disk, raw, tree.Root.Order)
 	before := clk.Seconds()
-	st := Execute(disk, tree, fileOf)
+	st := ExecuteOpts(disk, tree, fileOf, Options{})
 	if clk.Seconds() <= before {
 		t.Fatal("execution charged no simulated time")
 	}
@@ -271,7 +271,7 @@ func TestExecuteChargesTime(t *testing.T) {
 
 func TestPipelineAggregateMultiLevel(t *testing.T) {
 	// Sorted input over 3 cols; aggregate at prefix lengths 3, 2, 1, 0
-	// in one pass and compare against record.AggregateSorted.
+	// in one pass and compare against record.AggregateSortedOp.
 	raw := randomRaw(9, 500, 3, []int{4, 3, 2})
 	raw.Sort()
 	lens := []int{3, 2, 1, 0}
@@ -281,9 +281,9 @@ func TestPipelineAggregateMultiLevel(t *testing.T) {
 	}
 	pipelineAggregate(raw, lens, outs, record.Agg{Op: record.OpSum})
 	for i, l := range lens {
-		want := record.AggregateSorted(raw, l)
+		want := record.AggregateSortedOp(raw, l, record.OpSum)
 		if !record.Equal(outs[i], want) {
-			t.Fatalf("prefix %d: pipeline disagrees with AggregateSorted", l)
+			t.Fatalf("prefix %d: pipeline disagrees with AggregateSortedOp", l)
 		}
 	}
 }
@@ -296,7 +296,7 @@ func TestStatsRowsEmittedMatchesViewSizes(t *testing.T) {
 	tree := PlanPartition(0, d, sizer)
 	disk := simdisk.New(costmodel.NewClock(costmodel.Default()))
 	prepRoot(disk, raw, tree.Root.Order)
-	st := Execute(disk, tree, fileOf)
+	st := ExecuteOpts(disk, tree, fileOf, Options{})
 	var total int64
 	tree.Walk(func(n *lattice.Node) {
 		if n != tree.Root {

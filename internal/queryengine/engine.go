@@ -99,7 +99,7 @@ type idxKey struct {
 // maps each view to its materialized attribute order (the build's
 // ViewOrders); rows maps each view to its global row count for
 // planning — pass nil to derive the counts from the per-rank slices on
-// disk (core.ViewSliceLens).
+// disk (core.ViewGlobalRows).
 func New(m *cluster.Machine, orders map[lattice.ViewID]lattice.Order, rows map[lattice.ViewID]int64, op record.AggOp) *Engine {
 	if rows == nil {
 		rows = make(map[lattice.ViewID]int64, len(orders))
@@ -513,7 +513,7 @@ func (e *Engine) Execute(q Query) (*record.Table, Metrics, error) {
 		pr.SetPhase("query")
 		agg := record.Agg{Op: e.op}
 		if scratch != nil {
-			agg.State = scratch[pr.Rank()]
+			agg = scratch[pr.Rank()].Agg(e.op)
 		}
 		part, n, used := e.scanLocal(pr, q, agg)
 		scanned[pr.Rank()] = n
@@ -533,7 +533,7 @@ func (e *Engine) Execute(q Query) (*record.Table, Metrics, error) {
 			// unpackable keys); the MergeOps charge is path-independent.
 			pr.Clock().AddCompute(costmodel.MergeOps(total, streams))
 			out = record.MergeSortedAggregateAgg(parts, agg)
-			if scratch != nil {
+			if agg.State != nil {
 				// Resolve handles to estimates in place: the result the
 				// caller sees carries plain values, never handles into
 				// scratch shards about to be released.

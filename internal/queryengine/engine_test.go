@@ -54,7 +54,7 @@ func oracle(raw *record.Table, q Query, order lattice.Order, op record.AggOp) *r
 		}
 		proj.Append(key, raw.Meas(i))
 	}
-	return record.SortAggregateOp(proj, op)
+	return record.SortAggregateAgg(proj, record.Agg{Op: op})
 }
 
 func TestExecuteMatchesOracle(t *testing.T) {

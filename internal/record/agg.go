@@ -198,12 +198,6 @@ func AggregateSortedAggInto(t *Table, k int, out *Table, agg Agg) {
 	out.meas = append(out.meas, acc)
 }
 
-// AggregateSortedOpInto is AggregateSortedAggInto for algebraic
-// operators (no sketch state).
-func AggregateSortedOpInto(t *Table, k int, out *Table, op AggOp) {
-	AggregateSortedAggInto(t, k, out, Agg{Op: op})
-}
-
 // AggregateSortedAgg is AggregateSortedAggInto with a fresh output.
 func AggregateSortedAgg(t *Table, k int, agg Agg) *Table {
 	out := New(k, 0)
@@ -211,7 +205,8 @@ func AggregateSortedAgg(t *Table, k int, agg Agg) *Table {
 	return out
 }
 
-// AggregateSortedOp is AggregateSortedOpInto with a fresh output.
+// AggregateSortedOp is AggregateSortedAgg for algebraic operators (no
+// sketch state).
 func AggregateSortedOp(t *Table, k int, op AggOp) *Table {
 	return AggregateSortedAgg(t, k, Agg{Op: op})
 }
@@ -222,12 +217,10 @@ func SortAggregateAgg(t *Table, agg Agg) *Table {
 	return AggregateSortedAgg(t, t.D, agg)
 }
 
-// SortAggregateOp sorts t and collapses full-row duplicates with op.
-func SortAggregateOp(t *Table, op AggOp) *Table {
-	return SortAggregateAgg(t, Agg{Op: op})
-}
-
-// MergeSortedAggregateAgg merges sorted tables collapsing duplicates.
+// MergeSortedAggregateAgg merges sorted tables and collapses full-row
+// duplicates. Each input must already be sorted; the inputs may contain
+// rows equal to rows of other inputs (but are not required to be
+// internally duplicate-free).
 func MergeSortedAggregateAgg(tables []*Table, agg Agg) *Table {
 	return mergeSortedAgg(tables, true, agg)
 }

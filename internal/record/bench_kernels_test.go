@@ -6,7 +6,7 @@ import (
 )
 
 // Microbenchmarks for the packed-key kernels. Each hot-path benchmark
-// has a kernel variant (the path Sort / MergeSortedAggregate take on
+// has a kernel variant (the path Sort / MergeSortedAggregateOp take on
 // packable keys) and a comparison variant (the path for keys wider
 // than 128 bits, called directly) so the speedup is measured in one
 // `go test -bench` run.
@@ -100,7 +100,7 @@ func benchMerge(b *testing.B, k, rows, d, card int, tree bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if tree {
-			MergeSortedAggregate(tables)
+			MergeSortedAggregateOp(tables, OpSum)
 		} else {
 			mergeSortedHeap(tables, d, k*rows, true, Agg{Op: OpSum})
 		}

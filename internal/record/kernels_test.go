@@ -278,7 +278,7 @@ func TestLoserTreeMergeUnpackableFallsBack(t *testing.T) {
 	b := wideRandomTable(18, 150, 6)
 	a.Sort()
 	b.Sort()
-	m := MergeSortedAggregate([]*Table{a, b})
+	m := MergeSortedAggregateOp([]*Table{a, b}, OpSum)
 	if !m.IsSorted() {
 		t.Fatal("fallback merge not sorted")
 	}
@@ -369,7 +369,7 @@ func TestZeroColumnMergeAndPlan(t *testing.T) {
 	if kp.Cols() != 0 || !kp.Packable() || kp.Wide() {
 		t.Fatalf("bad zero-column plan: %+v", kp)
 	}
-	got := MergeSortedAggregate([]*Table{mk(1, 2), mk(10), mk(100, 200)})
+	got := MergeSortedAggregateOp([]*Table{mk(1, 2), mk(10), mk(100, 200)}, OpSum)
 	if got.Len() != 1 || got.Meas(0) != 313 {
 		t.Fatalf("zero-column aggregate merge: len=%d meas=%v", got.Len(), got)
 	}

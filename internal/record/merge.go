@@ -29,20 +29,7 @@ func (h mergeHeap) empty() bool      { return len(h) == 0 }
 // each sorted over all columns) into one sorted table. Ties are broken
 // by input index, making the merge deterministic.
 func MergeSorted(tables []*Table) *Table {
-	return mergeSorted(tables, false)
-}
-
-// MergeSortedAggregate merges sorted tables and collapses full-row
-// duplicates, summing measures. Each input must already be sorted; the
-// inputs may contain rows equal to rows of other inputs (but are not
-// required to be internally duplicate-free). Use
-// MergeSortedAggregateOp for other aggregate operators.
-func MergeSortedAggregate(tables []*Table) *Table {
-	return mergeSortedAgg(tables, true, Agg{Op: OpSum})
-}
-
-func mergeSorted(tables []*Table, aggregate bool) *Table {
-	return mergeSortedAgg(tables, aggregate, Agg{Op: OpSum})
+	return mergeSortedAgg(tables, false, Agg{})
 }
 
 // mergeSortedAgg runs the packed-key loser-tree kernel when the union

@@ -321,29 +321,6 @@ func (t *Table) SortWithPlan(kp KeyPlan, havePlan bool) {
 // IsSorted reports whether the table is sorted over all columns.
 func (t *Table) IsSorted() bool { return sort.IsSorted(sorter{t}) }
 
-// AggregateSortedInto collapses runs of adjacent rows of t that are
-// equal on the first k columns, emitting one row per run into out: the
-// run's first k dimension values with the sum of the run's measures.
-// t must be sorted on its first k columns; out must have k columns.
-// Use AggregateSortedOpInto for other aggregate operators.
-func AggregateSortedInto(t *Table, k int, out *Table) {
-	AggregateSortedOpInto(t, k, out, OpSum)
-}
-
-// AggregateSorted is AggregateSortedInto with a freshly allocated output.
-func AggregateSorted(t *Table, k int) *Table {
-	out := New(k, 0)
-	AggregateSortedInto(t, k, out)
-	return out
-}
-
-// SortAggregate sorts t (over all columns) and returns the aggregation
-// of full-row duplicates. t is mutated by the sort.
-func SortAggregate(t *Table) *Table {
-	t.Sort()
-	return AggregateSorted(t, t.D)
-}
-
 // Equal reports whether a and b have identical shape and contents.
 func Equal(a, b *Table) bool {
 	if a.D != b.D || a.Len() != b.Len() {

@@ -130,7 +130,7 @@ func TestAggregateSorted(t *testing.T) {
 		{2, 2, 8},
 		{2, 2, 9},
 	}, []int64{1, 2, 3, 4, 5})
-	agg := AggregateSorted(tb, 2)
+	agg := AggregateSortedOp(tb, 2, OpSum)
 	if agg.D != 2 || agg.Len() != 3 {
 		t.Fatalf("agg shape wrong: %v", agg)
 	}
@@ -147,7 +147,7 @@ func TestAggregateSorted(t *testing.T) {
 
 func TestAggregateSortedEmpty(t *testing.T) {
 	t.Parallel()
-	agg := AggregateSorted(New(3, 0), 2)
+	agg := AggregateSortedOp(New(3, 0), 2, OpSum)
 	if agg.Len() != 0 {
 		t.Fatalf("want empty, got %d rows", agg.Len())
 	}
@@ -164,7 +164,7 @@ func TestSortAggregateMatchesHashGroupBy(t *testing.T) {
 		tb.Append(r, m)
 		truth[[3]uint32{r[0], r[1], r[2]}] += m
 	}
-	agg := SortAggregate(tb)
+	agg := SortAggregateAgg(tb, Agg{Op: OpSum})
 	if agg.Len() != len(truth) {
 		t.Fatalf("distinct count = %d, want %d", agg.Len(), len(truth))
 	}
@@ -234,7 +234,7 @@ func TestMergeSortedAggregate(t *testing.T) {
 	t.Parallel()
 	a := FromRows(2, [][]uint32{{1, 1}, {2, 2}}, []int64{1, 2})
 	b := FromRows(2, [][]uint32{{1, 1}, {3, 3}}, []int64{10, 3})
-	m := MergeSortedAggregate([]*Table{a, b})
+	m := MergeSortedAggregateOp([]*Table{a, b}, OpSum)
 	if m.Len() != 3 {
 		t.Fatalf("rows = %d, want 3", m.Len())
 	}
@@ -338,7 +338,7 @@ func TestQuickAggregatePreservesMass(t *testing.T) {
 		tb := randomTable(seed, int(n8)+1, d, 3)
 		k := int(kRaw%uint8(d)) + 1
 		tb.Sort()
-		agg := AggregateSorted(tb, k)
+		agg := AggregateSortedOp(tb, k, OpSum)
 		if agg.TotalMeasure() != tb.TotalMeasure() {
 			return false
 		}
@@ -541,7 +541,7 @@ func TestAggregateOpWrongWidthPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	AggregateSortedOpInto(tb, 2, New(3, 0), OpSum)
+	AggregateSortedAggInto(tb, 2, New(3, 0), Agg{Op: OpSum})
 }
 
 func TestCombineUnknownOpPanics(t *testing.T) {

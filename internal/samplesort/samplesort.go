@@ -43,18 +43,12 @@ func Sort(p *cluster.Proc, file string, gamma float64) Result {
 	return sortImpl(p, file, gamma, false, record.Agg{Op: record.OpSum})
 }
 
-// SortPresorted is Sort for files already locally sorted (e.g. views
-// being re-distributed by Merge–Partitions Case 3); it skips the local
-// external sort of Step 1 and agglomerates equal keys (with op) during
-// the p-way merge, so equal view keys arriving from different
-// processors collapse in the same pass.
-func SortPresorted(p *cluster.Proc, file string, gamma float64, op record.AggOp) Result {
-	return sortImpl(p, file, gamma, true, record.Agg{Op: op})
-}
-
-// SortPresortedAgg is SortPresorted with sketch state for holistic
-// operators: equal keys collapsing during the p-way merge combine
-// their sketches through the processor's combiner.
+// SortPresortedAgg is Sort for files already locally sorted (views being
+// redistributed by Merge–Partitions Case 3); it skips the local external
+// sort of Step 1 and agglomerates equal keys with agg during the p-way
+// merge, so equal view keys arriving from different processors collapse
+// in the same pass (holistic operators combine their sketches through
+// the processor's combiner).
 func SortPresortedAgg(p *cluster.Proc, file string, gamma float64, agg record.Agg) Result {
 	return sortImpl(p, file, gamma, true, agg)
 }

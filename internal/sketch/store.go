@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"repro/internal/record"
 )
 
 // Measure-word handle layout. A holistic measure word is either a raw
@@ -20,9 +22,6 @@ const (
 	handleIdxMask    = int64(1)<<handleIdxBits - 1
 	scratchShardBase = 1 << 20
 )
-
-// IsHandle reports whether measure word m names a stored sketch.
-func IsHandle(m int64) bool { return m < 0 }
 
 func encodeHandle(shard uint32, idx int) int64 {
 	return -(int64(shard)<<handleIdxBits | int64(idx)) - 1
@@ -111,8 +110,12 @@ func (s *Store) Stats() Stats {
 }
 
 // Rank returns the combiner for build/ingest rank r. Handles minted by
-// rank combiners are permanent (until the store is discarded).
+// rank combiners are permanent (until the store is discarded). A nil
+// store (an algebraic cube) has the nil combiner.
 func (s *Store) Rank(r int) *Combiner {
+	if s == nil {
+		return nil
+	}
 	if r < 0 || r >= scratchShardBase {
 		panic(fmt.Sprintf("sketch: rank %d out of range", r))
 	}
@@ -361,8 +364,15 @@ type Combiner struct {
 	shard uint32
 }
 
-// Store returns the backing store.
-func (c *Combiner) Store() *Store { return c.s }
+// Agg is the aggregate descriptor a processor applies to measures: the
+// operator plus, for holistic operators, this combiner. Algebraic
+// operators and the nil combiner carry no state.
+func (c *Combiner) Agg(op record.AggOp) record.Agg {
+	if c == nil || !op.Holistic() {
+		return record.Agg{Op: op}
+	}
+	return record.Agg{Op: op, State: c}
+}
 
 // Combine implements record.StateCombiner. If a is an open accumulator
 // owned by this combiner's shard it absorbs b in place; otherwise a

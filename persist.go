@@ -161,7 +161,7 @@ func (c *Cube) saveLocked(w io.Writer, includePending bool) error {
 			// holistic cube, but runs (and charges its read) on every
 			// cube: it also fills each slice's decode cache, which the
 			// first scans after a Save hit warm. Known accident — see
-			// DESIGN.md §4f; it goes with the row decode it hides.
+			// DESIGN.md §12; it goes with the row decode it hides.
 			collectHandles(c.gatherViewRaw(v))
 			sc.Views = append(sc.Views, sv)
 		}

@@ -390,13 +390,6 @@ func Build(in *Input, opts Options) (_ *Cube, err error) {
 		m.Proc(r).Disk().Put("raw", in.table.Sub(lo, hi))
 	}
 
-	// The schema's (reordered) cardinalities drive caller-supplied key
-	// plans in the external sorts: denser codes mean narrower plans,
-	// so more shapes fit the <=128-bit packed radix window.
-	cards := make([]int, d)
-	for i := 0; i < d; i++ {
-		cards[i] = in.schema.Dimensions[in.perm[i]].Cardinality
-	}
 	cfg := core.Config{
 		D:           d,
 		Selected:    selected,
@@ -404,7 +397,7 @@ func Build(in *Input, opts Options) (_ *Cube, err error) {
 		MergeGamma:  opts.MergeGamma,
 		Agg:         opts.Aggregate.op(),
 		Sketch:      st,
-		Cards:       cards,
+		Cards:       in.cards(),
 		MinSupport:  opts.MinSupport,
 		OverlapComm: opts.OverlapComm,
 		Faults:      opts.Faults.internal(),
@@ -462,6 +455,18 @@ func Build(in *Input, opts Options) (_ *Cube, err error) {
 		trees:   met.SchedTrees,
 		pending: record.New(d, 0),
 	}, nil
+}
+
+// cards returns the dimension cardinalities in internal order. They
+// drive caller-supplied key plans in the external sorts (denser codes
+// mean narrower plans, so more shapes fit the <=128-bit packed radix
+// window) and the advisor's view-size estimates.
+func (in *Input) cards() []int {
+	cards := make([]int, len(in.perm))
+	for i, u := range in.perm {
+		cards[i] = in.schema.Dimensions[u].Cardinality
+	}
+	return cards
 }
 
 // viewOf translates a set of user dimension names into a ViewID.

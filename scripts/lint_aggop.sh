@@ -47,7 +47,7 @@ done
 # Holistic ops may never reach an Op.Combine call without sketch
 # state: the only bare-op aggregation entry points allowed outside
 # internal/record and tests are the *Op wrappers themselves.
-if grep -rn --include='*.go' 'record\.\(SortAggregateOp\|AggregateSortedOp\|MergeSortedAggregateOp\)' \
+if grep -rn --include='*.go' 'record\.\(AggregateSortedOp\|MergeSortedAggregateOp\)' \
     --exclude='*_test.go' internal/core internal/ingest internal/queryengine ./*.go 2>/dev/null; then
   echo "lint-aggop: bare-op aggregation in a holistic-capable path; use the Agg variants" >&2
   fail=1

@@ -640,8 +640,8 @@ func (s *Server) Stats() ServerStats {
 	}
 	s.vsMu.Unlock()
 	return ServerStats{
-		Views:   views,
-		Replans: s.replans.Load(),
+		Views:                views,
+		Replans:              s.replans.Load(),
 		Queries:              s.queries.Load(),
 		CacheHits:            s.hits.Load(),
 		Rejected:             s.rejected.Load(),
