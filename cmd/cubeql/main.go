@@ -148,35 +148,32 @@ func run(csvPath, measure string, procs int, selectFlag, save, snapshot, ingestP
 	if err != nil {
 		return err
 	}
-	var vw *rolap.View
-	if pct != defaultPct && cube.Holistic() {
-		// Non-median ranks go through the percentile entry point; the
-		// serving tier caches per-rank results under distinct keys.
-		vw, err = cube.GroupByPercentile(dims, filters, pct)
-		if err != nil {
-			return err
-		}
+	q := rolap.Query{Group: dims}
+	for dim, code := range filters {
+		q.Bounds = append(q.Bounds, rolap.Bound{Dim: dim, Lo: code, Hi: code})
 	}
-	if vw == nil && stats {
-		srv, err := cube.NewServer(rolap.ServerOptions{})
-		if err != nil {
+	if aggOp == rolap.Quantile && cube.Holistic() {
+		q.Percentile = &pct
+	}
+	// -stats routes the query through the serving subsystem, whose
+	// per-view demand table is part of the report.
+	var qr rolap.Querier = cube
+	var srv *rolap.Server
+	if stats {
+		if srv, err = cube.NewServer(rolap.ServerOptions{}); err != nil {
 			return err
 		}
-		var qm rolap.QueryMetrics
-		vw, qm, err = srv.GroupBy(context.Background(), dims, filters)
-		if err != nil {
-			return err
-		}
+		qr = srv
+	}
+	vw, qm, err := qr.Do(context.Background(), q)
+	if err != nil {
+		return err
+	}
+	if stats {
 		fmt.Fprintf(os.Stderr, "query: source=[%s] rows_scanned=%d bytes_moved=%d sim_s=%.6f index=%v cache_hit=%v\n",
 			strings.Join(qm.SourceView, ","), qm.RowsScanned, qm.BytesMoved, qm.SimSeconds, qm.IndexUsed, qm.CacheHit)
 		printViewDemand(srv.Stats())
 		printSketchBytes(cube.Metrics())
-	}
-	if vw == nil {
-		vw, err = cube.GroupBy(dims, filters)
-		if err != nil {
-			return err
-		}
 	}
 	if err := runAdvise(cube, advise); err != nil {
 		return err

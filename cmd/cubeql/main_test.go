@@ -190,25 +190,7 @@ func TestRunHolistic(t *testing.T) {
 	if err := os.WriteFile(csvPath, []byte(facts), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	capture := func(f func() error) string {
-		t.Helper()
-		old := os.Stdout
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.Stdout = w
-		errRun := f()
-		w.Close()
-		os.Stdout = old
-		out := make([]byte, 1<<16)
-		n, _ := r.Read(out)
-		r.Close()
-		if errRun != nil {
-			t.Fatal(errRun)
-		}
-		return string(out[:n])
-	}
+	capture := func(f func() error) string { return captureFile(t, &os.Stdout, f) }
 
 	// COUNT DISTINCT: east sells measures {10,30,5} -> 3 distinct.
 	out := capture(func() error {
@@ -241,5 +223,54 @@ func TestRunHolistic(t *testing.T) {
 	})
 	if !strings.Contains(out, "east,10") {
 		t.Fatalf("wrong median:\n%s", out)
+	}
+}
+
+// captureFile runs f with *target (os.Stdout or os.Stderr) redirected
+// into a pipe and returns what f wrote there; f must succeed.
+func captureFile(t *testing.T, target **os.File, f func() error) string {
+	t.Helper()
+	old := *target
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	*target = w
+	errRun := f()
+	w.Close()
+	*target = old
+	out := make([]byte, 1<<16)
+	n, _ := r.Read(out)
+	r.Close()
+	if errRun != nil {
+		t.Fatal(errRun)
+	}
+	return string(out[:n])
+}
+
+// TestRunPercentileStats: -stats must report the query's cost and the
+// per-view demand table for a non-median rank too — the rank travels in
+// the Query, it is not a separate entry point that bypasses the server.
+func TestRunPercentileStats(t *testing.T) {
+	csvPath := filepath.Join(t.TempDir(), "facts.csv")
+	facts := "region,product,measure\n" +
+		"east,widget,10\neast,widget,10\neast,widget,30\neast,nut,5\nwest,widget,7\n"
+	if err := os.WriteFile(csvPath, []byte(facts), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout string
+	stderr := captureFile(t, &os.Stderr, func() error {
+		stdout = captureFile(t, &os.Stdout, func() error {
+			return run(csvPath, "measure", 2, "", "", "", "", "region", "", 0, "percentile(1)", true, 0)
+		})
+		return nil
+	})
+	if !strings.Contains(stdout, "east,30") {
+		t.Fatalf("wrong p100:\n%s", stdout)
+	}
+	for _, want := range []string{"query: source=[region]", "per-view demand:", "[region] hits=1"} {
+		if !strings.Contains(stderr, want) {
+			t.Fatalf("-stats output lacks %q:\n%s", want, stderr)
+		}
 	}
 }

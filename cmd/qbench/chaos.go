@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,24 +25,10 @@ import (
 	"repro/internal/gen"
 )
 
-// serving is the query surface shared by *rolap.Server and
-// *rolap.ReplicaSet, so the same workload runs against either.
-type serving interface {
-	GroupBy(ctx context.Context, dims []string, filters map[string]uint32) (*rolap.View, rolap.QueryMetrics, error)
-	RangeAggregate(ctx context.Context, dims []string, lo, hi []uint32) (int64, rolap.QueryMetrics, error)
-}
-
 // execOp runs one workload query and encodes its answer canonically,
 // so answers from different serving tiers compare byte-for-byte.
-func execOp(ctx context.Context, s serving, o op) (string, error) {
-	if o.rangeDims != nil {
-		v, _, err := s.RangeAggregate(ctx, o.rangeDims, o.lo, o.hi)
-		if err != nil {
-			return "", err
-		}
-		return strconv.FormatInt(v, 10), nil
-	}
-	vw, _, err := s.GroupBy(ctx, o.group, o.filters)
+func execOp(ctx context.Context, s rolap.Querier, q rolap.Query) (string, error) {
+	vw, _, err := s.Do(ctx, q)
 	if err != nil {
 		return "", err
 	}
@@ -348,7 +333,7 @@ func runFlashcrowd(cfg config, w io.Writer) (flashReport, error) {
 	if keys < 1 {
 		keys = 1
 	}
-	pool := make([]op, keys)
+	pool := make([]rolap.Query, keys)
 	for i := range pool {
 		pool[i] = randomOp(rng, dims)
 	}

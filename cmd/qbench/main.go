@@ -167,57 +167,46 @@ func benchSchema() rolap.Schema {
 	}}
 }
 
-// op is one pre-planned workload query, replayable across machine
-// sizes so every sweep point serves the identical stream.
-type op struct {
-	group   []string
-	filters map[string]uint32
-	// rangeDims non-nil makes this a RangeAggregate instead.
-	rangeDims []string
-	lo, hi    []uint32
-}
-
-// randomOp draws one workload query: a range aggregate 25% of the
-// time, otherwise a group-by with random filters.
-func randomOp(rng *rand.Rand, dims []rolap.Dimension) op {
+// randomOp draws one workload query, replayable across machine sizes
+// so every sweep point serves the identical stream: a range aggregate
+// 25% of the time, otherwise a group-by with random filters.
+func randomOp(rng *rand.Rand, dims []rolap.Dimension) rolap.Query {
+	var q rolap.Query
 	if rng.Intn(4) == 0 { // 25% range aggregates
 		n := 1 + rng.Intn(2)
-		o := op{}
 		for _, u := range rng.Perm(len(dims))[:n] {
 			a := uint32(rng.Intn(dims[u].Cardinality))
 			b := uint32(rng.Intn(dims[u].Cardinality))
 			if a > b {
 				a, b = b, a
 			}
-			o.rangeDims = append(o.rangeDims, dims[u].Name)
-			o.lo = append(o.lo, a)
-			o.hi = append(o.hi, b)
+			q.Bounds = append(q.Bounds, rolap.Bound{Dim: dims[u].Name, Lo: a, Hi: b})
 		}
-		return o
+		return q
 	}
 	perm := rng.Perm(len(dims))
 	ng := 1 + rng.Intn(2)
-	o := op{filters: map[string]uint32{}}
 	for _, u := range perm[:ng] {
-		o.group = append(o.group, dims[u].Name)
+		q.Group = append(q.Group, dims[u].Name)
 	}
 	nf := rng.Intn(3)
 	for _, u := range perm[ng : ng+nf] {
-		o.filters[dims[u].Name] = uint32(rng.Intn(dims[u].Cardinality))
+		v := uint32(rng.Intn(dims[u].Cardinality))
+		q.Bounds = append(q.Bounds, rolap.Bound{Dim: dims[u].Name, Lo: v, Hi: v})
 	}
-	return o
+	return q
 }
 
 // makeWorkload builds a deterministic query stream: a hot pool of
 // distinct queries plus a 50% repeat rate, so the cache sees realistic
 // reuse.
-func makeWorkload(cfg config, rng *rand.Rand) []op {
+func makeWorkload(cfg config, rng *rand.Rand) []rolap.Query {
 	dims := benchSchema().Dimensions
-	pool := make([]op, 1+cfg.queries/8)
+	pool := make([]rolap.Query, 1+cfg.queries/8)
 	for i := range pool {
 		pool[i] = randomOp(rng, dims)
 	}
-	out := make([]op, cfg.queries)
+	out := make([]rolap.Query, cfg.queries)
 	for i := range out {
 		if rng.Intn(2) == 0 {
 			out[i] = pool[rng.Intn(len(pool))]
@@ -314,20 +303,14 @@ func run(cfg config, w io.Writer) error {
 		var lat []float64
 		var indexed int64
 
-		jobs := make(chan op)
+		jobs := make(chan rolap.Query)
 		var wg sync.WaitGroup
 		for i := 0; i < cfg.workers; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for o := range jobs {
-					var qm rolap.QueryMetrics
-					var err error
-					if o.rangeDims != nil {
-						_, qm, err = srv.RangeAggregate(context.Background(), o.rangeDims, o.lo, o.hi)
-					} else {
-						_, qm, err = srv.GroupBy(context.Background(), o.group, o.filters)
-					}
+					_, qm, err := srv.Do(context.Background(), o)
 					if err != nil {
 						continue // rejected or expired; counted by the server
 					}
@@ -484,20 +467,14 @@ func runReplicas(cfg config, w io.Writer) error {
 
 		var mu sync.Mutex
 		var lat []float64
-		jobs := make(chan op)
+		jobs := make(chan rolap.Query)
 		var wg sync.WaitGroup
 		for i := 0; i < cfg.workers; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for o := range jobs {
-					var qm rolap.QueryMetrics
-					var err error
-					if o.rangeDims != nil {
-						_, qm, err = rs.RangeAggregate(context.Background(), o.rangeDims, o.lo, o.hi)
-					} else {
-						_, qm, err = rs.GroupBy(context.Background(), o.group, o.filters)
-					}
+					_, qm, err := rs.Do(context.Background(), o)
 					if err != nil {
 						continue
 					}

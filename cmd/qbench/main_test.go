@@ -80,7 +80,7 @@ func TestMakeWorkloadDeterministic(t *testing.T) {
 		t.Fatalf("lengths %d, %d", len(a), len(b))
 	}
 	for i := range a {
-		if strings.Join(a[i].group, ",") != strings.Join(b[i].group, ",") {
+		if strings.Join(a[i].Group, ",") != strings.Join(b[i].Group, ",") {
 			t.Fatalf("workload %d differs across identical seeds", i)
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -254,7 +255,7 @@ func quantileArm(cfg config, seed uint64) ([]quantileAccuracy, sketchBuildCost, 
 	}
 	var out []quantileAccuracy
 	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-		vw, err := qcube.GroupByPercentile([]string{"g"}, nil, q)
+		vw, _, err := qcube.Do(context.Background(), rolap.Query{Group: []string{"g"}, Percentile: &q})
 		if err != nil {
 			return nil, sketchBuildCost{}, err
 		}

@@ -2,6 +2,7 @@ package rolap_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -94,4 +95,39 @@ func ExampleCube_GroupBy() {
 	// Output:
 	// store 0: 10
 	// store 1: 20
+}
+
+// ExampleCube_Do dices a group-by: sales per store over the second
+// quarter. The same Query is answered by a Server or a ReplicaSet.
+func ExampleCube_Do() {
+	schema := rolap.Schema{Dimensions: []rolap.Dimension{
+		{Name: "store", Cardinality: 4},
+		{Name: "month", Cardinality: 12},
+	}}
+	in, _ := rolap.NewInput(schema)
+	in.AddRow([]uint32{0, 2}, 50) // March: outside the range
+	in.AddRow([]uint32{0, 3}, 10)
+	in.AddRow([]uint32{0, 5}, 5)
+	in.AddRow([]uint32{2, 4}, 20)
+	in.AddRow([]uint32{3, 9}, 70) // October: outside the range
+	cube, err := rolap.Build(in, rolap.Options{Processors: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	q2, qm, err := cube.Do(context.Background(), rolap.Query{
+		Group:  []string{"store"},
+		Bounds: []rolap.Bound{{Dim: "month", Lo: 3, Hi: 5}},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("answered from", qm.SourceView)
+	for i := 0; i < q2.Len(); i++ {
+		key, m := q2.Row(i)
+		fmt.Printf("store %d: %d\n", key[0], m)
+	}
+	// Output:
+	// answered from [month store]
+	// store 0: 15
+	// store 2: 20
 }

@@ -10,34 +10,28 @@ import (
 // The gather-and-scan query implementation: gather the smallest
 // covering view onto one rank, then filter, project and re-aggregate
 // it row by row. It was the original serving path; it survives only
-// here, as the independent oracle the distributed engine is compared
-// against (TestDistributedGroupByMatchesGatherOracle).
+// here, as the independent oracle every Querier is compared against
+// (TestDistributedGroupByMatchesGatherOracle, TestQuerierDifferential).
+// It shares nothing with Cube.resolve, Cube.plan or queryengine.
 
-// gatherGroupBy answers GroupBy by gathering the source view onto one
-// rank and scanning it.
-func (c *Cube) gatherGroupBy(dims []string, filters map[string]uint32, pct float64) (*View, error) {
-	if _, err := c.in.viewOf(dims); err != nil {
-		return nil, err
-	}
-	// A filter may restrict a grouped dimension (the query is "group by
-	// store where store = 3"), so filter dims must be deduplicated
-	// against the group dims before forming the needed view — naively
-	// appending both lists makes viewOf reject the repeat.
-	grouped := make(map[string]bool, len(dims))
-	for _, name := range dims {
-		grouped[name] = true
-	}
-	filterDims := make([]string, 0, len(filters))
-	for name := range filters {
-		if !grouped[name] {
-			filterDims = append(filterDims, name)
-		}
-	}
-	need, err := c.in.viewOf(append(append([]string{}, dims...), filterDims...))
+// gatherQuery answers q by gathering the source view onto one rank and
+// scanning it. A scalar query (empty Group) yields a zero-dimension
+// view of one row, or of none when nothing matches.
+func (c *Cube) gatherQuery(q Query) (*View, error) {
+	group, err := c.in.viewOf(q.Group)
 	if err != nil {
 		return nil, err // repeated or unknown dimension
 	}
-
+	// A bound may restrict a grouped dimension ("group by store where
+	// store = 3"), so the needed view is the union of both sets.
+	need := group
+	for _, b := range q.Bounds {
+		one, err := c.in.viewOf([]string{b.Dim})
+		if err != nil {
+			return nil, err
+		}
+		need |= one
+	}
 	src, err := c.smallestSuperset(need)
 	if err != nil {
 		return nil, err
@@ -48,41 +42,33 @@ func (c *Cube) gatherGroupBy(dims []string, filters map[string]uint32, pct float
 	}
 
 	// Column bookkeeping in the source view's layout.
-	srcOrder := vw.order
-	filterCol := map[int]uint32{} // column -> required value
-	for name, val := range filters {
-		one, err := c.in.viewOf([]string{name})
-		if err != nil {
-			return nil, err
-		}
-		dim := one.Dims()[0]
-		for col, d := range srcOrder {
-			if d == dim {
-				filterCol[col] = val
+	colOf := func(name string) int {
+		one, _ := c.in.viewOf([]string{name})
+		for col, d := range vw.order {
+			if d == one.Dims()[0] {
+				return col
 			}
 		}
+		panic("gather oracle: source view lacks " + name)
 	}
-	outCols := make([]int, len(dims)) // result column -> source column
-	for k, name := range dims {
-		one, err := c.in.viewOf([]string{name})
-		if err != nil {
-			return nil, err
-		}
-		dim := one.Dims()[0]
-		for col, d := range srcOrder {
-			if d == dim {
-				outCols[k] = col
-			}
-		}
+	outCols := make([]int, len(q.Group)) // result column -> source column
+	order := make(lattice.Order, len(q.Group))
+	for k, name := range q.Group {
+		outCols[k] = colOf(name)
+		order[k] = vw.order[outCols[k]]
+	}
+	boundCols := make([]int, len(q.Bounds))
+	for k, b := range q.Bounds {
+		boundCols[k] = colOf(b.Dim)
 	}
 
 	// Filter + project + re-aggregate.
-	proj := record.New(len(dims), 0)
-	key := make([]uint32, len(dims))
+	proj := record.New(len(q.Group), 0)
+	key := make([]uint32, len(q.Group))
 	for i := 0; i < vw.rows.Len(); i++ {
 		match := true
-		for col, val := range filterCol {
-			if vw.rows.Dim(i, col) != val {
+		for k, b := range q.Bounds {
+			if v := vw.rows.Dim(i, boundCols[k]); v < b.Lo || v > b.Hi {
 				match = false
 				break
 			}
@@ -99,16 +85,29 @@ func (c *Cube) gatherGroupBy(dims []string, filters map[string]uint32, pct float
 	defer release()
 	out := record.SortAggregateAgg(proj, agg)
 	if agg.State != nil {
+		pct := defaultPercentile
+		if q.Percentile != nil {
+			pct = *q.Percentile
+		}
 		for i := 0; i < out.Len(); i++ {
-			out.SetMeas(i, c.resolveMeasure(out.Meas(i), pct))
+			out.SetMeas(i, c.sketch.EstimateMeasure(out.Meas(i), pct))
 		}
 	}
 	return &View{
-		Attributes: append([]string(nil), dims...),
+		Attributes: append([]string(nil), q.Group...),
 		Estimated:  c.op.Holistic(),
-		order:      queryOrder(c, dims),
+		order:      order,
 		rows:       out,
 	}, nil
+}
+
+// eqQuery is the Query of a GroupBy(dims, filters) call.
+func eqQuery(dims []string, filters map[string]uint32) Query {
+	q := Query{Group: dims}
+	for name, val := range filters {
+		q.Bounds = append(q.Bounds, Bound{Dim: name, Lo: val, Hi: val})
+	}
+	return q
 }
 
 // smallestSuperset returns the materialized view with the fewest rows
@@ -135,69 +134,6 @@ func (c *Cube) smallestSuperset(need lattice.ViewID) (lattice.ViewID, error) {
 	return best, nil
 }
 
-// gatherRangeAggregate answers RangeAggregate by gathering the source
-// view onto one rank and scanning it.
-func (c *Cube) gatherRangeAggregate(dims []string, lo, hi []uint32) (int64, error) {
-	want, err := c.in.viewOf(dims)
-	if err != nil {
-		return 0, err
-	}
-	src, err := c.smallestSuperset(want)
-	if err != nil {
-		return 0, err
-	}
-	vw, ok := c.gather(src)
-	if !ok {
-		return 0, fmt.Errorf("rolap: view retired while gathering; retry")
-	}
-	srcOrder := vw.order
-	// Map each queried dim to its source column and bounds.
-	type bound struct {
-		col    int
-		lo, hi uint32
-	}
-	bounds := make([]bound, len(dims))
-	for k, name := range dims {
-		one, err := c.in.viewOf([]string{name})
-		if err != nil {
-			return 0, err
-		}
-		dim := one.Dims()[0]
-		for col, d := range srcOrder {
-			if d == dim {
-				bounds[k] = bound{col: col, lo: lo[k], hi: hi[k]}
-			}
-		}
-	}
-	agg, release := c.scratchAgg()
-	defer release()
-	var acc int64
-	first := true
-	for i := 0; i < vw.rows.Len(); i++ {
-		ok := true
-		for _, b := range bounds {
-			v := vw.rows.Dim(i, b.col)
-			if v < b.lo || v > b.hi {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		if first {
-			acc = vw.rows.Meas(i)
-			first = false
-		} else {
-			acc = agg.Combine(acc, vw.rows.Meas(i))
-		}
-	}
-	if first {
-		return 0, nil
-	}
-	return c.resolveMeasure(agg.Seal(acc), defaultPercentile), nil
-}
-
 // scratchAgg returns the aggregate descriptor for a gather-path merge:
 // on holistic cubes the combine runs in a scratch sketch shard, dropped
 // by the returned release func once every handle is resolved.
@@ -209,13 +145,4 @@ func (c *Cube) scratchAgg() (record.Agg, func()) {
 	sc := c.sketch.Scratch()
 	agg.State = sc
 	return agg, func() { c.sketch.ReleaseScratch(sc) }
-}
-
-// resolveMeasure serves one measure word: identity on algebraic
-// cubes, sketch estimate (at rank q for Quantile) on holistic ones.
-func (c *Cube) resolveMeasure(m int64, q float64) int64 {
-	if c.sketch == nil {
-		return m
-	}
-	return c.sketch.EstimateMeasure(m, q)
 }

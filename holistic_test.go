@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/record"
 )
 
 // holisticFacts builds deterministic facts whose measures are values in
@@ -111,7 +113,9 @@ func checkHolisticGroupBy(t *testing.T, cube *Cube, rows [][]uint32, meas []int6
 	if pct == 0.5 {
 		vw, err = cube.GroupBy(dims, filters)
 	} else {
-		vw, err = cube.GroupByPercentile(dims, filters, pct)
+		q := eqQuery(dims, filters)
+		q.Percentile = &pct
+		vw, _, err = cube.Do(context.Background(), q)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -244,13 +248,6 @@ func TestGroupByPercentile(t *testing.T) {
 	for _, pct := range []float64{0, 0.25, 0.9, 1} {
 		checkHolisticGroupBy(t, cube, rows, meas, Quantile, []string{"channel"}, nil, pct)
 	}
-	if _, err := cube.GroupByPercentile([]string{"channel"}, nil, 1.5); err == nil {
-		t.Fatal("percentile rank outside [0,1] must be rejected")
-	}
-	dcube := buildHolisticCube(t, rows, meas, CountDistinct)
-	if _, err := dcube.GroupByPercentile([]string{"channel"}, nil, 0.5); err == nil {
-		t.Fatal("GroupByPercentile on a non-Quantile cube must be rejected")
-	}
 }
 
 func TestHolisticBuildValidation(t *testing.T) {
@@ -326,6 +323,27 @@ func TestHolisticReplicaSet(t *testing.T) {
 		k, m := want.Row(i)
 		if w := quantileOf(oracle[string(rune(k[0]))+","], 0.5); m != w {
 			t.Fatalf("leader channel=%d median %d, oracle %d", k[0], m, w)
+		}
+	}
+
+	// A non-median rank is served by the replicas too.
+	p90 := 0.9
+	q := Query{Group: []string{"channel"}, Percentile: &p90}
+	want, _, err = leader.Do(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err = rs.Do(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !record.Equal(got.rows, want.rows) {
+		t.Fatalf("replica p90 %v != leader p90 %v", got.rows, want.rows)
+	}
+	for i := 0; i < want.Len(); i++ {
+		k, m := want.Row(i)
+		if w := quantileOf(oracle[string(rune(k[0]))+","], 0.9); m != w {
+			t.Fatalf("leader channel=%d p90 %d, oracle %d", k[0], m, w)
 		}
 	}
 }

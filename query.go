@@ -1,75 +1,102 @@
 package rolap
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/lattice"
 	"repro/internal/queryengine"
+	"repro/internal/record"
 )
 
-// GroupBy computes an ad-hoc OLAP query against the cube: group by the
-// given dimensions, restricted by equality filters on other
-// dimensions, aggregating with the cube's operator. The query is
-// answered from the smallest materialized view containing all
-// referenced dimensions — the standard ROLAP rewrite. Roll-up and
-// drill-down are GroupBy with fewer or more dimensions.
-//
-// The query executes where the data lives: every processor filters,
-// projects, and partially aggregates its own slice of the source view,
-// and the partial aggregates are merged — no view is gathered onto one
-// rank. Built and snapshot-loaded cubes run the same path.
-//
-// The result is a computed View (not materialized on the cluster):
-// Attributes follow the order of dims, rows are sorted.
-//
-// On holistic cubes (CountDistinct, Quantile) the measures are served
-// estimates and the View's Estimated flag is set; Quantile cubes
-// report the median — use GroupByPercentile for another rank.
-func (c *Cube) GroupBy(dims []string, filters map[string]uint32) (*View, error) {
-	return c.groupByAt(dims, filters, defaultPercentile)
+// Bound restricts one dimension of a Query to the inclusive range
+// [Lo, Hi]; an equality filter is Lo == Hi.
+type Bound struct {
+	Dim    string
+	Lo, Hi uint32
 }
 
-// GroupByPercentile is GroupBy serving the p-th percentile (rank pct
-// in [0, 1]) of each group's value distribution instead of the
-// median. Only valid on Quantile cubes.
-func (c *Cube) GroupByPercentile(dims []string, filters map[string]uint32, pct float64) (*View, error) {
-	if c.opts.Aggregate != Quantile {
-		return nil, fmt.Errorf("rolap: GroupByPercentile requires a Quantile cube (have %v)", c.opts.Aggregate)
-	}
-	if pct < 0 || pct > 1 {
-		return nil, fmt.Errorf("rolap: percentile rank %v outside [0, 1]", pct)
-	}
-	return c.groupByAt(dims, filters, pct)
+// Query is one OLAP read: keep the facts inside every bound, group
+// them by the Group dimensions and aggregate each group with the
+// cube's operator. Roll-up and drill-down are the same Query with fewer
+// or more Group dimensions; slice and dice are Bounds.
+type Query struct {
+	// Group lists the result's dimensions, in result column order. An
+	// empty Group collapses the selection into one zero-dimension row (a
+	// scalar aggregate; no row at all when nothing matches).
+	Group []string
+	// Bounds restrict dimensions, at most one bound per dimension. A
+	// bounded dimension may also be grouped ("group by store where
+	// store in 3..6").
+	Bounds []Bound
+	// Percentile is the rank in [0, 1] a Quantile cube reports for each
+	// group; nil means the median. It must be nil on every other cube.
+	Percentile *float64
 }
 
-func (c *Cube) groupByAt(dims []string, filters map[string]uint32, pct float64) (*View, error) {
-	// The advisor can retire a plan's source view between planning and
-	// execution; a stale plan is rejected (never silently misread) and
-	// simply replanned against the current view set.
-	for attempt := 0; ; attempt++ {
-		q, err := c.planQuery(dims, filters, pct)
-		if err != nil {
-			if errors.Is(err, queryengine.ErrStalePlan) && attempt < staleReplanLimit {
-				continue
-			}
-			return nil, err
-		}
-		rows, _, err := c.engine.Execute(q)
-		if err != nil {
-			if errors.Is(err, queryengine.ErrStalePlan) && attempt < staleReplanLimit {
-				continue
-			}
-			return nil, err
-		}
-		return &View{
-			Attributes: append([]string(nil), dims...),
-			Estimated:  c.op.Holistic(),
-			order:      queryOrder(c, dims),
-			rows:       rows,
-		}, nil
+// Querier is the query surface Cube, Server and ReplicaSet share.
+type Querier interface {
+	// Do answers q. The View's Attributes follow q.Group and its rows
+	// are sorted; on holistic cubes (CountDistinct, Quantile) the
+	// measures are served estimates and the View's Estimated flag is set.
+	Do(ctx context.Context, q Query) (*View, QueryMetrics, error)
+}
+
+// resolved is a Query validated against the schema, its names turned
+// into internal dimensions.
+type resolved struct {
+	group  lattice.Order
+	bounds map[int][2]uint32
+	pct    float64
+}
+
+// resolve validates q against the schema and the cube's operator.
+// Everything it rejects is the caller's mistake, whatever the state of
+// the cube or of a replica serving it.
+func (c *Cube) resolve(q Query) (resolved, error) {
+	group, err := c.in.orderOf(q.Group)
+	if err != nil {
+		return resolved{}, err
 	}
+	r := resolved{group: group, bounds: make(map[int][2]uint32, len(q.Bounds)), pct: defaultPercentile}
+	for _, b := range q.Bounds {
+		dim, err := c.in.dimOf(b.Dim)
+		if err != nil {
+			return resolved{}, err
+		}
+		if _, dup := r.bounds[dim]; dup {
+			return resolved{}, fmt.Errorf("rolap: dimension %q bounded twice", b.Dim)
+		}
+		if b.Lo > b.Hi {
+			return resolved{}, fmt.Errorf("rolap: empty range on %q", b.Dim)
+		}
+		r.bounds[dim] = [2]uint32{b.Lo, b.Hi}
+	}
+	if q.Percentile != nil {
+		if c.opts.Aggregate != Quantile {
+			return resolved{}, fmt.Errorf("rolap: a percentile rank requires a Quantile cube (have %v)", c.opts.Aggregate)
+		}
+		if r.pct = *q.Percentile; !(r.pct >= 0 && r.pct <= 1) {
+			return resolved{}, fmt.Errorf("rolap: percentile rank %v outside [0, 1]", r.pct)
+		}
+	}
+	return r, nil
+}
+
+// plan picks the source view — the smallest materialized view
+// containing every referenced dimension, the standard ROLAP rewrite —
+// and resolves the query's columns against that view's layout.
+func (c *Cube) plan(r resolved) (queryengine.Query, error) {
+	p, err := c.engine.NewQuery(r.group, r.bounds)
+	if err != nil {
+		return queryengine.Query{}, fmt.Errorf("rolap: %w", err)
+	}
+	if c.op.Holistic() {
+		p.Percentile = r.pct
+	}
+	return p, nil
 }
 
 // staleReplanLimit bounds replan retries after ErrStalePlan. Each
@@ -78,115 +105,62 @@ func (c *Cube) groupByAt(dims []string, filters map[string]uint32, pct float64) 
 // surviving superset), so one retry normally suffices.
 const staleReplanLimit = 4
 
-// planQuery validates a GroupBy request and plans its distributed
-// execution: dimension names are resolved to internal indices, filters
-// become per-dimension equality bounds, and the engine picks the
-// source view and column layout.
-func (c *Cube) planQuery(dims []string, filters map[string]uint32, pct float64) (queryengine.Query, error) {
-	if _, err := c.in.viewOf(dims); err != nil {
-		return queryengine.Query{}, err
-	}
-	group := make([]int, len(dims))
-	for k, name := range dims {
-		one, err := c.in.viewOf([]string{name})
-		if err != nil {
-			return queryengine.Query{}, err
-		}
-		group[k] = one.Dims()[0]
-	}
-	bounds := make(map[int][2]uint32, len(filters))
-	for name, val := range filters {
-		one, err := c.in.viewOf([]string{name})
-		if err != nil {
-			return queryengine.Query{}, err
-		}
-		bounds[one.Dims()[0]] = [2]uint32{val, val}
-	}
-	q, err := c.engine.NewQuery(group, bounds)
+// do is the one query path: resolve q, plan it, hand the plan to exec
+// and wrap the rows it returns as a View. The advisor can retire a
+// plan's source view between planning and execution; the engine rejects
+// such a stale plan (never silently misreads it) and do replans against
+// the current view set. It also returns how many times it replanned.
+func (c *Cube) do(q Query, exec func(queryengine.Query) (*record.Table, QueryMetrics, error)) (*View, QueryMetrics, int, error) {
+	r, err := c.resolve(q)
 	if err != nil {
-		return queryengine.Query{}, fmt.Errorf("rolap: %w", err)
+		return nil, QueryMetrics{}, 0, err
 	}
-	if c.op.Holistic() {
-		q.Percentile = pct
-	}
-	return q, nil
-}
-
-// queryOrder builds the internal order matching the user's dims
-// sequence (for Decode-style helpers on computed views).
-func queryOrder(c *Cube, dims []string) lattice.Order {
-	o := make(lattice.Order, len(dims))
-	for k, name := range dims {
-		v, _ := c.in.viewOf([]string{name})
-		o[k] = v.Dims()[0]
-	}
-	return o
-}
-
-// RangeAggregate aggregates all groups of the named view whose
-// attribute values fall within [lo[k], hi[k]] for every dimension
-// (inclusive on both ends). It is answered from the exact materialized
-// view when available, else the smallest superset. Only meaningful for
-// Sum cubes when ranges span groups; for Min/Max cubes it returns the
-// min/max over the range.
-//
-// The range is evaluated in place: each processor combines its slice's
-// matching rows (binary-searching to the run when the range covers the
-// sort-order prefix) and the partial aggregates are merged.
-func (c *Cube) RangeAggregate(dims []string, lo, hi []uint32) (int64, error) {
-	if len(dims) != len(lo) || len(dims) != len(hi) {
-		return 0, fmt.Errorf("rolap: dims/lo/hi length mismatch")
-	}
-	for k := range lo {
-		if lo[k] > hi[k] {
-			return 0, fmt.Errorf("rolap: empty range on %q", dims[k])
+	for replans := 0; ; replans++ {
+		var rows *record.Table
+		var qm QueryMetrics
+		p, err := c.plan(r)
+		if err == nil {
+			rows, qm, err = exec(p)
 		}
-	}
-	for attempt := 0; ; attempt++ {
-		q, err := c.planRange(dims, lo, hi)
-		if err != nil {
-			if errors.Is(err, queryengine.ErrStalePlan) && attempt < staleReplanLimit {
-				continue
-			}
-			return 0, err
+		if err == nil {
+			return &View{
+				Attributes: append([]string(nil), q.Group...),
+				Estimated:  c.op.Holistic(),
+				order:      r.group,
+				rows:       rows,
+			}, qm, replans, nil
 		}
-		rows, _, err := c.engine.Execute(q)
-		if err != nil {
-			if errors.Is(err, queryengine.ErrStalePlan) && attempt < staleReplanLimit {
-				continue
-			}
-			return 0, err
+		if replans == staleReplanLimit || !errors.Is(err, queryengine.ErrStalePlan) {
+			return nil, QueryMetrics{}, replans, err
 		}
-		if rows.Len() == 0 {
-			return 0, nil
-		}
-		return rows.Meas(0), nil
 	}
 }
 
-// planRange validates a RangeAggregate request and plans its
-// distributed execution: all matching rows collapse into one
-// zero-dimension group.
-func (c *Cube) planRange(dims []string, lo, hi []uint32) (queryengine.Query, error) {
-	if _, err := c.in.viewOf(dims); err != nil {
-		return queryengine.Query{}, err
-	}
-	bounds := make(map[int][2]uint32, len(dims))
-	for k, name := range dims {
-		one, err := c.in.viewOf([]string{name})
-		if err != nil {
-			return queryengine.Query{}, err
+// Do answers q where the data lives: every processor filters, projects
+// and partially aggregates its own slice of the source view, and the
+// partial aggregates are merged — no view is gathered onto one rank.
+// Built and snapshot-loaded cubes run the same path. The result is a
+// computed View, not materialized on the cluster.
+func (c *Cube) Do(ctx context.Context, q Query) (*View, QueryMetrics, error) {
+	v, qm, _, err := c.do(q, func(p queryengine.Query) (*record.Table, QueryMetrics, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, QueryMetrics{}, err
 		}
-		bounds[one.Dims()[0]] = [2]uint32{lo[k], hi[k]}
+		rows, em, err := c.engine.Execute(p)
+		return rows, c.queryMetrics(em), err
+	})
+	return v, qm, err
+}
+
+// queryMetrics reports what one execution cost.
+func (c *Cube) queryMetrics(em queryengine.Metrics) QueryMetrics {
+	return QueryMetrics{
+		SourceView:  c.sourceViewNames(em.Source),
+		RowsScanned: em.RowsScanned,
+		BytesMoved:  em.BytesMoved,
+		SimSeconds:  em.SimSeconds,
+		IndexUsed:   em.IndexUsed,
 	}
-	q, err := c.engine.NewQuery(nil, bounds)
-	if err != nil {
-		return queryengine.Query{}, fmt.Errorf("rolap: %w", err)
-	}
-	if c.op.Holistic() {
-		q.Percentile = defaultPercentile
-	}
-	return q, nil
 }
 
 // sourceViewNames renders a ViewID as its sorted user dimension names
@@ -195,4 +169,67 @@ func (c *Cube) sourceViewNames(v lattice.ViewID) []string {
 	names := c.in.namesOf(lattice.Canonical(v))
 	sort.Strings(names)
 	return names
+}
+
+// The named shorthands below are the three common Query shapes. Each
+// front end exposes them with the signatures it always had; all of them
+// build a Query and call Do.
+
+// groupBy is Query{Group: dims} with one equality bound per filter.
+func groupBy(ctx context.Context, qr Querier, dims []string, filters map[string]uint32) (*View, QueryMetrics, error) {
+	q := Query{Group: dims, Bounds: make([]Bound, 0, len(filters))}
+	for name, val := range filters {
+		q.Bounds = append(q.Bounds, Bound{Dim: name, Lo: val, Hi: val})
+	}
+	return qr.Do(ctx, q)
+}
+
+// rangeAggregate is the scalar Query bounding dims[k] to [lo[k], hi[k]]:
+// the measure of the single zero-dimension row, 0 when nothing matches.
+func rangeAggregate(ctx context.Context, qr Querier, dims []string, lo, hi []uint32) (int64, QueryMetrics, error) {
+	if len(dims) != len(lo) || len(dims) != len(hi) {
+		return 0, QueryMetrics{}, fmt.Errorf("rolap: dims/lo/hi length mismatch")
+	}
+	q := Query{Bounds: make([]Bound, len(dims))}
+	for k, name := range dims {
+		q.Bounds[k] = Bound{Dim: name, Lo: lo[k], Hi: hi[k]}
+	}
+	v, qm, err := qr.Do(ctx, q)
+	if err != nil || v.Len() == 0 {
+		return 0, qm, err
+	}
+	return v.rows.Meas(0), qm, nil
+}
+
+// aggregate is the degenerate range [key, key].
+func aggregate(ctx context.Context, qr Querier, dims []string, key []uint32) (int64, QueryMetrics, error) {
+	if len(dims) != len(key) {
+		return 0, QueryMetrics{}, fmt.Errorf("rolap: %d dimensions but %d key values", len(dims), len(key))
+	}
+	return rangeAggregate(ctx, qr, dims, key, key)
+}
+
+// GroupBy groups by dims, restricted by equality filters on any
+// dimensions. Quantile cubes report the median; put another rank in a
+// Query.
+func (c *Cube) GroupBy(dims []string, filters map[string]uint32) (*View, error) {
+	v, _, err := groupBy(context.Background(), c, dims, filters)
+	return v, err
+}
+
+// Aggregate answers a point query: the measure of the group identified
+// by the given dimension names and values.
+func (c *Cube) Aggregate(dims []string, key []uint32) (int64, error) {
+	m, _, err := aggregate(context.Background(), c, dims, key)
+	return m, err
+}
+
+// RangeAggregate aggregates all groups whose value of dims[k] falls
+// within [lo[k], hi[k]] (inclusive on both ends) for every k. Sum cubes
+// total the range; Min/Max cubes return the min/max over it. Each
+// processor binary-searches to the matching run when the range covers
+// the source view's sort-order prefix.
+func (c *Cube) RangeAggregate(dims []string, lo, hi []uint32) (int64, error) {
+	m, _, err := rangeAggregate(context.Background(), c, dims, lo, hi)
+	return m, err
 }

@@ -87,7 +87,7 @@ func TestGroupByValidation(t *testing.T) {
 			t.Fatalf("row %d has store %d, want only 1", i, key[0])
 		}
 	}
-	gathered, err := cube.gatherGroupBy([]string{"store"}, map[string]uint32{"store": 1}, defaultPercentile)
+	gathered, err := cube.gatherQuery(eqQuery([]string{"store"}, map[string]uint32{"store": 1}))
 	if err != nil {
 		t.Fatalf("gather path rejected grouped-dim filter: %v", err)
 	}

@@ -5,13 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/lattice"
 	"repro/internal/replica"
 )
 
@@ -271,72 +271,34 @@ func (c *Cube) NewReplicaSet(opts ReplicaOptions) (*ReplicaSet, error) {
 	return rs, nil
 }
 
-// GroupBy serves an ad-hoc group-by with equality filters from a
-// replica within the staleness bound, like Server.GroupBy, with
-// failover, hedging, and the leader fallback per ResilienceOptions.
-func (r *ReplicaSet) GroupBy(ctx context.Context, dims []string, filters map[string]uint32) (*View, QueryMetrics, error) {
-	// Pre-validate on the leader so user errors (unknown dimensions,
-	// bad filters) return immediately instead of counting as replica
-	// failures and tripping breakers.
-	if _, err := r.leader.planQuery(dims, filters, defaultPercentile); err != nil {
+// Do answers q from a replica within the staleness bound, like
+// Server.Do, with failover, hedging and the leader fallback per
+// ResilienceOptions. The query is validated against the schema first,
+// so user errors (unknown dimensions, bad bounds or rank) return
+// immediately instead of counting as replica failures and tripping
+// breakers.
+func (r *ReplicaSet) Do(ctx context.Context, q Query) (*View, QueryMetrics, error) {
+	res, err := r.leader.resolve(q)
+	if err != nil {
 		return nil, QueryMetrics{}, err
 	}
-	out, qm, err := r.resilient(ctx, groupByAffinity(dims, filters), func(srv *Server, ctx context.Context) (any, QueryMetrics, error) {
-		v, qm, err := srv.GroupBy(ctx, dims, filters)
-		if err != nil {
-			return nil, qm, err
-		}
-		return v, qm, nil
-	})
-	if err != nil {
-		return nil, qm, err
-	}
-	return out.(*View), qm, nil
+	return r.resilient(ctx, q, res.affinity())
 }
 
-// Aggregate serves a point lookup from a replica within the staleness
-// bound, like Server.Aggregate, with failover, hedging, and the leader
-// fallback per ResilienceOptions.
+// GroupBy is the replicated form of Cube.GroupBy.
+func (r *ReplicaSet) GroupBy(ctx context.Context, dims []string, filters map[string]uint32) (*View, QueryMetrics, error) {
+	return groupBy(ctx, r, dims, filters)
+}
+
+// Aggregate is the replicated form of Cube.Aggregate.
 func (r *ReplicaSet) Aggregate(ctx context.Context, dims []string, key []uint32) (int64, QueryMetrics, error) {
-	if len(dims) != len(key) {
-		return 0, QueryMetrics{}, fmt.Errorf("rolap: %d dims, %d key values", len(dims), len(key))
-	}
-	lo := append([]uint32(nil), key...)
-	hi := append([]uint32(nil), key...)
-	return r.RangeAggregate(ctx, dims, lo, hi)
+	return aggregate(ctx, r, dims, key)
 }
 
-// RangeAggregate serves a range aggregate from a replica within the
-// staleness bound, like Server.RangeAggregate, with failover, hedging,
-// and the leader fallback per ResilienceOptions.
+// RangeAggregate is the replicated form of Cube.RangeAggregate.
 func (r *ReplicaSet) RangeAggregate(ctx context.Context, dims []string, lo, hi []uint32) (int64, QueryMetrics, error) {
-	if len(dims) != len(lo) || len(dims) != len(hi) {
-		return 0, QueryMetrics{}, fmt.Errorf("rolap: dims/lo/hi length mismatch")
-	}
-	for k := range lo {
-		if lo[k] > hi[k] {
-			return 0, QueryMetrics{}, fmt.Errorf("rolap: empty range on %q", dims[k])
-		}
-	}
-	if _, err := r.leader.planRange(dims, lo, hi); err != nil {
-		return 0, QueryMetrics{}, err
-	}
-	out, qm, err := r.resilient(ctx, rangeAffinity(dims, lo, hi), func(srv *Server, ctx context.Context) (any, QueryMetrics, error) {
-		v, qm, err := srv.RangeAggregate(ctx, dims, lo, hi)
-		if err != nil {
-			return nil, qm, err
-		}
-		return v, qm, nil
-	})
-	if err != nil {
-		return 0, qm, err
-	}
-	return out.(int64), qm, nil
+	return rangeAggregate(ctx, r, dims, lo, hi)
 }
-
-// execFn runs one query attempt against a server (a replica's, or the
-// leader fallback's).
-type execFn func(srv *Server, ctx context.Context) (any, QueryMetrics, error)
 
 // errFailoverWait distinguishes "no replica became eligible within the
 // failover wait" from the caller's own deadline expiring.
@@ -373,7 +335,7 @@ func retryableRead(err error) bool {
 // exhausted — retries spent, all permanently failed, or none eligible
 // within FailoverWait — the query is served by the leader's own cube
 // (unless DisableLeaderFallback).
-func (r *ReplicaSet) resilient(ctx context.Context, affinity uint64, exec execFn) (any, QueryMetrics, error) {
+func (r *ReplicaSet) resilient(ctx context.Context, q Query, affinity uint64) (*View, QueryMetrics, error) {
 	avoid := make([]bool, r.n)
 	attempts := 0
 	var lastErr error
@@ -394,9 +356,9 @@ func (r *ReplicaSet) resilient(ctx context.Context, affinity uint64, exec execFn
 				if attempts <= r.res.MaxRetries {
 					continue
 				}
-				return r.leaderFallback(ctx, exec, err)
+				return r.leaderFallback(ctx, q, err)
 			case errors.Is(err, replica.ErrAllFailed):
-				return r.leaderFallback(ctx, exec, err)
+				return r.leaderFallback(ctx, q, err)
 			case errors.Is(err, errFailoverWait):
 				if anyTrue(avoid) {
 					// The avoided replicas' queues may have drained since
@@ -405,12 +367,12 @@ func (r *ReplicaSet) resilient(ctx context.Context, affinity uint64, exec execFn
 					clear(avoid)
 					continue
 				}
-				return r.leaderFallback(ctx, exec, lastErr)
+				return r.leaderFallback(ctx, q, lastErr)
 			default:
 				return nil, QueryMetrics{}, err
 			}
 		}
-		out, qm, err := r.attempt(ctx, lease, exec, affinity, avoid)
+		out, qm, err := r.attempt(ctx, lease, q, affinity, avoid)
 		if err == nil {
 			if attempts > 0 {
 				r.failovers.Add(1)
@@ -424,7 +386,7 @@ func (r *ReplicaSet) resilient(ctx context.Context, affinity uint64, exec execFn
 		attempts++
 		r.retries.Add(1)
 		if attempts > r.res.MaxRetries {
-			return r.leaderFallback(ctx, exec, lastErr)
+			return r.leaderFallback(ctx, q, lastErr)
 		}
 		if d := r.backoff(attempts); d > 0 {
 			t := time.NewTimer(d)
@@ -459,9 +421,9 @@ func (r *ReplicaSet) acquireLease(ctx context.Context, affinity uint64, avoid []
 // attempt runs one leased attempt, hedging a second replica when the
 // first is slower than the observed latency percentile. Failed
 // replicas are marked in the avoid set for the caller's next retry.
-func (r *ReplicaSet) attempt(ctx context.Context, lease *replica.Lease, exec execFn, affinity uint64, avoid []bool) (any, QueryMetrics, error) {
+func (r *ReplicaSet) attempt(ctx context.Context, lease *replica.Lease, q Query, affinity uint64, avoid []bool) (*View, QueryMetrics, error) {
 	ch := make(chan attemptResult, 2)
-	r.launch(ctx, lease, exec, false, ch)
+	r.launch(ctx, lease, q, false, ch)
 	launched := 1
 	var hedgeC <-chan time.Time
 	if r.res.Hedge {
@@ -505,7 +467,7 @@ func (r *ReplicaSet) attempt(ctx context.Context, lease *replica.Lease, exec exe
 			if l2, ok := r.group.TryAcquire(affinity, havoid); ok {
 				launched = 2
 				r.hedged.Add(1)
-				r.launch(ctx, l2, exec, true, ch)
+				r.launch(ctx, l2, q, true, ch)
 			}
 		case <-ctx.Done():
 			// In-flight attempts see the same ctx, finish, and release
@@ -516,7 +478,7 @@ func (r *ReplicaSet) attempt(ctx context.Context, lease *replica.Lease, exec exe
 }
 
 type attemptResult struct {
-	out     any
+	out     *View
 	qm      QueryMetrics
 	err     error
 	replica int
@@ -527,10 +489,10 @@ type attemptResult struct {
 // launch runs one attempt on its leased replica in a goroutine,
 // sleeping any injected straggler delay first (the replica is slow,
 // not broken), and releases the lease with the attempt's verdict.
-func (r *ReplicaSet) launch(ctx context.Context, lease *replica.Lease, exec execFn, hedge bool, ch chan attemptResult) {
+func (r *ReplicaSet) launch(ctx context.Context, lease *replica.Lease, q Query, hedge bool, ch chan attemptResult) {
 	go func() {
 		start := time.Now()
-		var out any
+		var out *View
 		var qm QueryMetrics
 		err := ctx.Err()
 		if err == nil {
@@ -545,7 +507,7 @@ func (r *ReplicaSet) launch(ctx context.Context, lease *replica.Lease, exec exec
 			}
 		}
 		if err == nil {
-			out, qm, err = exec(lease.Node().(*replicaNode).srv, ctx)
+			out, qm, err = lease.Node().(*replicaNode).srv.Do(ctx, q)
 		}
 		lease.Release(replicaIndicting(err))
 		ch <- attemptResult{out: out, qm: qm, err: err, replica: lease.Replica(), hedge: hedge, dur: time.Since(start)}
@@ -555,7 +517,7 @@ func (r *ReplicaSet) launch(ctx context.Context, lease *replica.Lease, exec exec
 // leaderFallback serves the query from the leader's own cube — the
 // last rung before an error. cause is returned instead when fallback
 // is disabled.
-func (r *ReplicaSet) leaderFallback(ctx context.Context, exec execFn, cause error) (any, QueryMetrics, error) {
+func (r *ReplicaSet) leaderFallback(ctx context.Context, q Query, cause error) (*View, QueryMetrics, error) {
 	if r.leaderSrv == nil {
 		if cause == nil {
 			cause = errFailoverWait
@@ -563,7 +525,7 @@ func (r *ReplicaSet) leaderFallback(ctx context.Context, exec execFn, cause erro
 		return nil, QueryMetrics{}, cause
 	}
 	r.leaderFalls.Add(1)
-	return exec(r.leaderSrv, ctx)
+	return r.leaderSrv.Do(ctx, q)
 }
 
 // backoff is the exponential failover backoff for retry k (1-based),
@@ -701,47 +663,28 @@ func (r *ReplicaSet) Close() {
 	r.group.Close()
 }
 
-// groupByAffinity hashes a group-by request into a stable routing
-// affinity, so repeat queries land on the replica whose result cache
-// already holds them. Filters are folded in sorted key order to keep
-// the hash independent of map iteration.
-func groupByAffinity(dims []string, filters map[string]uint32) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, "g")
-	for _, d := range dims {
-		io.WriteString(h, "|")
-		io.WriteString(h, d)
+// affinity hashes a resolved query into a stable routing affinity, so
+// repeat queries land on the replica whose result cache already holds
+// them. Bounds are folded in dimension order to keep the hash
+// independent of map iteration.
+func (r resolved) affinity() uint64 {
+	h := math.Float64bits(r.pct)
+	// Fibonacci hashing; routing takes the affinity mod the replica
+	// count, so the well-mixed high bits are folded down.
+	mix := func(v int) {
+		h = (h ^ uint64(v)) * 0x9E3779B97F4A7C15
+		h ^= h >> 32
 	}
-	names := make([]string, 0, len(filters))
-	for name := range filters {
-		names = append(names, name)
+	for _, dim := range r.group {
+		mix(dim)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(h, "#%s=%d", name, filters[name])
+	mix(-1) // "group by a" is not "where a"
+	for dim := 0; dim < lattice.MaxDims; dim++ {
+		if b, ok := r.bounds[dim]; ok {
+			mix(dim)
+			mix(int(b[0]))
+			mix(int(b[1]))
+		}
 	}
-	return nonzero(h.Sum64())
-}
-
-// rangeAffinity hashes a range-aggregate request into a stable routing
-// affinity.
-func rangeAffinity(dims []string, lo, hi []uint32) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, "s")
-	for _, d := range dims {
-		io.WriteString(h, "|")
-		io.WriteString(h, d)
-	}
-	for k := range lo {
-		fmt.Fprintf(h, "#%d..%d", lo[k], hi[k])
-	}
-	return nonzero(h.Sum64())
-}
-
-// nonzero keeps a hash out of the "no affinity" sentinel.
-func nonzero(v uint64) uint64 {
-	if v == 0 {
-		return 1
-	}
-	return v
+	return h | 1<<63 // 0 is the group's "no affinity"
 }

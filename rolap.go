@@ -163,9 +163,9 @@ const (
 	// non-negative, and query results are estimates.
 	CountDistinct
 	// Quantile tracks the distribution of measure values per group with
-	// a mergeable log-quantized histogram; GroupByPercentile (and
-	// Query.Percentile) pick the rank to report. Holistic: measures
-	// must be non-negative, and query results are estimates.
+	// a mergeable log-quantized histogram; Query.Percentile picks the
+	// rank to report (the median when unset). Holistic: measures must be
+	// non-negative, and query results are estimates.
 	Quantile
 )
 
@@ -469,27 +469,39 @@ func (in *Input) cards() []int {
 	return cards
 }
 
+// dimOf translates one user dimension name into its internal dimension.
+func (in *Input) dimOf(name string) (int, error) {
+	for u, dim := range in.schema.Dimensions {
+		if dim.Name == name {
+			return in.inv[u], nil
+		}
+	}
+	return 0, fmt.Errorf("rolap: unknown dimension %q", name)
+}
+
+// orderOf translates user dimension names into internal dimensions, in
+// the order given, rejecting unknown and repeated names.
+func (in *Input) orderOf(names []string) (lattice.Order, error) {
+	o := make(lattice.Order, len(names))
+	seen := lattice.Empty
+	for k, name := range names {
+		i, err := in.dimOf(name)
+		if err != nil {
+			return nil, err
+		}
+		if seen.Has(i) {
+			return nil, fmt.Errorf("rolap: dimension %q repeated in view", name)
+		}
+		seen = seen.Add(i)
+		o[k] = i
+	}
+	return o, nil
+}
+
 // viewOf translates a set of user dimension names into a ViewID.
 func (in *Input) viewOf(names []string) (lattice.ViewID, error) {
-	v := lattice.Empty
-	for _, name := range names {
-		found := -1
-		for u, dim := range in.schema.Dimensions {
-			if dim.Name == name {
-				found = u
-				break
-			}
-		}
-		if found == -1 {
-			return 0, fmt.Errorf("rolap: unknown dimension %q", name)
-		}
-		i := in.inv[found]
-		if v.Has(i) {
-			return 0, fmt.Errorf("rolap: dimension %q repeated in view", name)
-		}
-		v = v.Add(i)
-	}
-	return v, nil
+	o, err := in.orderOf(names)
+	return o.View(), err
 }
 
 // namesOf renders an internal order as user dimension names.

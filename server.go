@@ -298,105 +298,41 @@ type cached struct {
 	ver  uint64
 }
 
-// GroupBy serves an ad-hoc group-by with equality filters, like
-// Cube.GroupBy but with admission control, deadline, caching, and
-// per-query cost metrics.
+// Do answers q like Cube.Do, with admission control, deadline, caching
+// and per-query cost metrics.
+func (s *Server) Do(ctx context.Context, q Query) (*View, QueryMetrics, error) {
+	v, qm, replans, err := s.cube.do(q, func(p queryengine.Query) (*record.Table, QueryMetrics, error) {
+		c, qm, err := s.serve(ctx, p)
+		return c.rows, qm, err
+	})
+	s.replans.Add(int64(replans))
+	return v, qm, err
+}
+
+// GroupBy is the served form of Cube.GroupBy.
 func (s *Server) GroupBy(ctx context.Context, dims []string, filters map[string]uint32) (*View, QueryMetrics, error) {
-	for attempt := 0; ; attempt++ {
-		q, err := s.cube.planQuery(dims, filters, defaultPercentile)
-		if err != nil {
-			if s.replanable(err, attempt) {
-				continue
-			}
-			return nil, QueryMetrics{}, err
-		}
-		c, qm, err := s.serve(ctx, s.cacheKey("g", q), q)
-		if err != nil {
-			if s.replanable(err, attempt) {
-				continue
-			}
-			return nil, qm, err
-		}
-		return &View{
-			Attributes: append([]string(nil), dims...),
-			Estimated:  s.cube.op.Holistic(),
-			order:      queryOrder(s.cube, dims),
-			rows:       c.rows,
-		}, qm, nil
-	}
+	return groupBy(ctx, s, dims, filters)
 }
 
-// replanable reports whether a serve error means the plan's source
-// view was retired (or rebuilt) mid-flight and the query should be
-// replanned against the current view set.
-func (s *Server) replanable(err error, attempt int) bool {
-	if attempt < staleReplanLimit && errors.Is(err, queryengine.ErrStalePlan) {
-		s.replans.Add(1)
-		return true
-	}
-	return false
-}
-
-// Aggregate serves a point lookup: the aggregate of the single group
-// of the named view identified by key (values in dims order).
+// Aggregate is the served form of Cube.Aggregate.
 func (s *Server) Aggregate(ctx context.Context, dims []string, key []uint32) (int64, QueryMetrics, error) {
-	if len(dims) != len(key) {
-		return 0, QueryMetrics{}, fmt.Errorf("rolap: %d dims, %d key values", len(dims), len(key))
-	}
-	// lo and hi must be independent copies: sharing one slice would let
-	// any downstream mutation of one bound silently corrupt the other.
-	lo := append([]uint32(nil), key...)
-	hi := append([]uint32(nil), key...)
-	return s.RangeAggregate(ctx, dims, lo, hi)
+	return aggregate(ctx, s, dims, key)
 }
 
-// RangeAggregate serves a range aggregate like Cube.RangeAggregate,
-// with admission control, deadline, caching, and per-query metrics.
+// RangeAggregate is the served form of Cube.RangeAggregate.
 func (s *Server) RangeAggregate(ctx context.Context, dims []string, lo, hi []uint32) (int64, QueryMetrics, error) {
-	if len(dims) != len(lo) || len(dims) != len(hi) {
-		return 0, QueryMetrics{}, fmt.Errorf("rolap: dims/lo/hi length mismatch")
-	}
-	for k := range lo {
-		if lo[k] > hi[k] {
-			return 0, QueryMetrics{}, fmt.Errorf("rolap: empty range on %q", dims[k])
-		}
-	}
-	for attempt := 0; ; attempt++ {
-		q, err := s.cube.planRange(dims, lo, hi)
-		if err != nil {
-			if s.replanable(err, attempt) {
-				continue
-			}
-			return 0, QueryMetrics{}, err
-		}
-		c, qm, err := s.serve(ctx, s.cacheKey("s", q), q)
-		if err != nil {
-			if s.replanable(err, attempt) {
-				continue
-			}
-			return 0, qm, err
-		}
-		if c.rows.Len() == 0 {
-			return 0, qm, nil
-		}
-		return c.rows.Meas(0), qm, nil
-	}
-}
-
-// cacheKey canonicalizes a planned query into a cache key. The key is
-// deliberately version-free: stamping it with the version read at plan
-// time raced with concurrent ingest (execution happens after admission,
-// so a result computed post-commit could be filed under the pre-commit
-// version). Instead each cached entry carries the version its
-// execution actually ran against, validated on every hit.
-func (s *Server) cacheKey(kind string, q queryengine.Query) string {
-	return fmt.Sprintf("%s|%s", kind, q.Key())
+	return rangeAggregate(ctx, s, dims, lo, hi)
 }
 
 // serve runs one planned query through the pipeline and, on success,
-// folds it into the per-target-view counters the advisor mines.
-func (s *Server) serve(ctx context.Context, key string, q queryengine.Query) (cached, QueryMetrics, error) {
-	c, qm, err := s.servePipeline(ctx, key, q)
+// folds it into the per-target-view counters the advisor mines. The
+// cache key is deliberately version-free: stamping it with the version
+// read at plan time raced with concurrent ingest (execution happens
+// after admission, so a result computed post-commit could be filed
+// under the pre-commit version). Instead each cached entry carries the
+// version its execution actually ran against, validated on every hit.
+func (s *Server) serve(ctx context.Context, q queryengine.Query) (cached, QueryMetrics, error) {
+	c, qm, err := s.servePipeline(ctx, q.Key(), q)
 	if err == nil {
 		s.noteViewServe(q, qm)
 	}
@@ -542,13 +478,7 @@ func (s *Server) execute(ctx context.Context, key string, q queryengine.Query) (
 	s.queries.Add(1)
 	s.simMicros.Add(int64(em.SimSeconds * 1e6))
 	s.rowsTotal.Add(em.RowsScanned)
-	return c, QueryMetrics{
-		SourceView:  s.cube.sourceViewNames(em.Source),
-		RowsScanned: em.RowsScanned,
-		BytesMoved:  em.BytesMoved,
-		SimSeconds:  em.SimSeconds,
-		IndexUsed:   em.IndexUsed,
-	}, nil
+	return c, s.cube.queryMetrics(em), nil
 }
 
 // serveStale is the overload shed ladder's cache rung: answer a shed

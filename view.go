@@ -154,17 +154,6 @@ func (v *View) Aggregate(key []uint32) (int64, bool) {
 	return 0, false
 }
 
-// Aggregate answers a point query: the total measure for the group
-// identified by the given dimension names and values — the degenerate
-// range [key, key], answered from the exact view when it is
-// materialized and from the smallest materialized superset otherwise.
-func (c *Cube) Aggregate(dims []string, key []uint32) (int64, error) {
-	if len(dims) != len(key) {
-		return 0, fmt.Errorf("rolap: %d dimensions but %d key values", len(dims), len(key))
-	}
-	return c.RangeAggregate(dims, key, key)
-}
-
 // viewRowCount reads a view's current global row count for planning,
 // under the metrics lock (ingest updates the counts in place).
 func (c *Cube) viewRowCount(v lattice.ViewID) int64 {
