@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: tier1 fmt build vet test race lint-aggop smoke bench bench-figs experiments
+.PHONY: tier1 fmt build vet test race lint-aggop smoke fuzz bench bench-figs experiments
 
 tier1: fmt build vet test race lint-aggop
 
@@ -49,6 +49,12 @@ smoke:
 	$(GO) run ./cmd/qbench -advisor -smoke -rows 4000 -queries 200 -p 2 -advise-every 25
 	$(GO) run ./cmd/qbench -sketch -rows 8000 -seed 42
 	$(GO) -C bench test ./...
+
+# Native fuzzing of the snapshot loader beyond its seed corpus (which
+# plain `go test` already runs). Not part of tier1: it runs for a fixed
+# time and a new crasher lands in testdata/fuzz for review.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzLoadCube -fuzztime 30s .
 
 # The repo's benchmark (BENCHMARK.json): four workloads, end-to-end and
 # per-layer metrics on both clocks, every answer oracle-checked.

@@ -173,7 +173,9 @@ func run(csvPath, measure string, procs int, selectFlag, save, snapshot, ingestP
 		fmt.Fprintf(os.Stderr, "query: source=[%s] rows_scanned=%d bytes_moved=%d sim_s=%.6f index=%v cache_hit=%v\n",
 			strings.Join(qm.SourceView, ","), qm.RowsScanned, qm.BytesMoved, qm.SimSeconds, qm.IndexUsed, qm.CacheHit)
 		printViewDemand(srv.Stats())
-		printSketchBytes(cube.Metrics())
+		met := cube.Metrics()
+		fmt.Fprintf(os.Stderr, "storage: stored_bytes=%d decoded_bytes=%d\n", met.OutputBytesStored, cube.DecodedBytes())
+		printSketchBytes(met)
 	}
 	if err := runAdvise(cube, advise); err != nil {
 		return err

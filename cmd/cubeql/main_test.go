@@ -268,7 +268,7 @@ func TestRunPercentileStats(t *testing.T) {
 	if !strings.Contains(stdout, "east,30") {
 		t.Fatalf("wrong p100:\n%s", stdout)
 	}
-	for _, want := range []string{"query: source=[region]", "per-view demand:", "[region] hits=1"} {
+	for _, want := range []string{"query: source=[region]", "per-view demand:", "[region] hits=1", "storage: stored_bytes="} {
 		if !strings.Contains(stderr, want) {
 			t.Fatalf("-stats output lacks %q:\n%s", want, stderr)
 		}

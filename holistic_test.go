@@ -36,7 +36,7 @@ func holisticFacts(n int, seed uint64) ([][]uint32, []int64) {
 	return rows, meas
 }
 
-func buildHolisticCube(t *testing.T, rows [][]uint32, meas []int64, agg Aggregate) *Cube {
+func buildHolisticCube(t testing.TB, rows [][]uint32, meas []int64, agg Aggregate) *Cube {
 	t.Helper()
 	in, err := NewInput(testSchema())
 	if err != nil {

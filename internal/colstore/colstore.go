@@ -10,13 +10,15 @@
 // dictionary-freeze time (Kaser & Lemire's attribute-value reordering).
 //
 // A Slice is the unit the rest of the system moves around: simdisk
-// files hold one behind the Store interface, persist v3 serializes
-// them directly (per rank, so a load re-places slices without
-// re-cutting — the near-zero-copy path), and checkpoint replication
-// ships them over the wire at their compressed size. Decoding is lazy:
-// Table() materializes the row form once and caches it, the mmap-style
-// block-handle idiom — holding a Slice costs nothing until someone
-// reads rows through it.
+// files hold one behind the Store interface, the format-4 snapshot
+// streams them directly, one view section at a time (per rank, so a
+// load re-places slices without re-cutting — the near-zero-copy path;
+// saving reads no rows, since a sealed Slice is never modified), and
+// checkpoint replication ships them over the wire at their compressed
+// size. Decoding is lazy: Table() materializes the row form once and
+// caches it, the mmap-style block-handle idiom — holding a Slice costs
+// nothing until someone reads rows through it (DecodedBytes counts what
+// the cache holds).
 //
 // Everything here is deterministic: the encoding chosen for a column
 // depends only on the column's values, so modelled byte sizes (and the
@@ -359,6 +361,17 @@ func (s *Slice) Table() *record.Table {
 	return s.cache
 }
 
+// DecodedBytes returns the row-form bytes the decode cache holds: zero
+// until the first Table call, the cached table's size after it.
+func (s *Slice) DecodedBytes() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cache == nil {
+		return 0
+	}
+	return s.cache.Bytes()
+}
+
 // LeadingRuns returns the run directory of the leading sort column:
 // vals[k] is run k's value, starts[k] its first row, with one extra
 // starts entry holding the slice length — exactly the shape the query
@@ -411,8 +424,12 @@ func (s *Slice) Clone() *Slice {
 	return c
 }
 
-// Checksum hashes the slice's wire image (FNV-1a over headers and
-// payload words), for the checked exchange's corruption detection.
+// Checksum hashes the slice's wire image (headers and payload words),
+// for the checked exchange's and the snapshot's corruption detection.
+// Each 64-bit word is folded in whole: an FNV-1a xor-multiply, then an
+// xorshift that feeds high bits back into low ones. Every step is a
+// bijection of the running hash, so changing any one word always
+// changes the result — at one multiply per word, not FNV's one per byte.
 func (s *Slice) Checksum() uint64 {
 	const (
 		offset = 14695981039346656037
@@ -420,11 +437,8 @@ func (s *Slice) Checksum() uint64 {
 	)
 	h := uint64(offset)
 	mix := func(v uint64) {
-		for k := 0; k < 8; k++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
+		h = (h ^ v) * prime
+		h ^= h >> 29
 	}
 	if s == nil {
 		return h

@@ -1,7 +1,8 @@
 // Package replica implements the replicated serving tier that splits
 // the read path off the ingest leader: N cube replicas, each
-// bootstrapped from a persist-v2 snapshot of the leader and advanced
-// by applying the leader's committed ingest batches in commit order.
+// bootstrapped from a snapshot of the leader (the format-4 section
+// stream rolap's Save writes) and advanced by applying the leader's
+// committed ingest batches in commit order.
 // Because the delta pipeline is deterministic and snapshots re-scatter
 // slices on the leader's partition boundaries, a replica that has
 // applied batch k is byte-identical to the leader as of batch k — same
@@ -159,7 +160,8 @@ type Stats struct {
 	// replicas (initial bootstraps and crash-recovery re-bootstraps);
 	// DeltaShipBytes totals the modelled on-wire bytes of shipped delta
 	// batches. Both shrink under the columnar store: snapshots are
-	// persist-v3 images and delta batches ship compressed.
+	// streams of sealed columnar slices and delta batches ship
+	// compressed.
 	SnapshotShipBytes int64
 	DeltaShipBytes    int64
 	// BreakerOpens, BreakerProbes, and BreakerCloses total the

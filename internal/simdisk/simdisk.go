@@ -94,8 +94,8 @@ func (d *Disk) Put(name string, t *record.Table) {
 
 // PutSlice stores an already-encoded columnar slice under name,
 // charging a sequential write of the compressed image. The disk takes
-// ownership of s. It is how persist v3 and compressed replication land
-// shipped slices without a decode/re-encode round trip.
+// ownership of s. It is how snapshot loading and compressed replication
+// land shipped slices without a decode/re-encode round trip.
 func (d *Disk) PutSlice(name string, s *colstore.Slice) {
 	d.chargeWrite(s.Bytes())
 	d.files[name] = &file{st: s}
@@ -369,6 +369,19 @@ func (d *Disk) Files() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// DecodedBytes returns the row-form bytes held by the decode caches of
+// the disk's sealed files, without charging I/O: host memory the
+// compressed images cost beyond their modelled size.
+func (d *Disk) DecodedBytes() int64 {
+	var n int64
+	for _, f := range d.files {
+		if s := f.slice(); s != nil {
+			n += int64(s.DecodedBytes())
+		}
+	}
+	return n
 }
 
 // TotalBytes returns the total modelled size of all files on the disk,

@@ -190,6 +190,22 @@ func (c *Cube) Metrics() Metrics {
 	return m
 }
 
+// DecodedBytes returns the row-form bytes held in the decode caches of
+// the cube's sealed view slices, summed over every processor's disk. A
+// slice decodes on its first full read (a scan, View, an ingest merge)
+// and keeps the row form; with Metrics().OutputBytesStored, the
+// compressed size, it accounts for the cube's resident set.
+func (c *Cube) DecodedBytes() int64 {
+	var n int64
+	c.engine.Maintain(func() error {
+		for r := 0; r < c.machine.P(); r++ {
+			n += c.machine.Proc(r).Disk().DecodedBytes()
+		}
+		return nil
+	})
+	return n
+}
+
 func publicMetrics(in *Input, met core.Metrics) Metrics {
 	m := Metrics{
 		Processors:            met.P,

@@ -2,6 +2,7 @@ package rolap
 
 import (
 	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -11,57 +12,63 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/colstore"
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/lattice"
 	"repro/internal/queryengine"
 	"repro/internal/record"
 	"repro/internal/sketch"
 )
 
-// savedCube is the gob-serialized form of a cube: the schema, the
-// dictionaries, every materialized view, and what a loaded cube needs
-// to keep serving and ingesting like the original — the hardware model
-// and iceberg threshold, the per-view version counters for cache keys,
-// and any facts buffered but not yet applied at save time. This is the
-// "pre-computation" deployment the paper motivates: build the cube
-// once on the cluster, persist it, and serve OLAP queries from the
-// loaded copy.
+// savedCube is a snapshot's header: the schema, the dictionaries, and
+// what a loaded cube needs to keep serving and ingesting like the
+// original — hardware model, iceberg threshold, metrics, per-view
+// version counters for cache keys, and facts buffered but not yet
+// applied. This is the "pre-computation" deployment the paper
+// motivates: build the cube once on the cluster, persist it, and serve
+// OLAP queries from the loaded copy.
 //
-// Each view is stored as its per-rank columnar compressed slices
-// (internal/colstore): loading places each slice on its rank as an
-// opaque block handle — no decode, no re-cut — so
-// cold-load-to-first-query skips the row materialization entirely.
-// There is one format; Version exists so a loader can refuse anything
-// else (ErrUnsupportedSnapshot).
+// A snapshot is one gob stream: this header, then NumViews savedView
+// sections, so Save and LoadCube hold one view's message at a time.
+// Each view is its per-rank columnar compressed slices
+// (internal/colstore), placed on their ranks at load with no decode and
+// no re-cut. There is one format; Version exists so a loader can refuse
+// anything else (ErrUnsupportedSnapshot).
 type savedCube struct {
 	Version    int
 	Dimensions []Dimension
 	Dicts      [][]string
 	Op         int
-	Metrics    Metrics
-	Views      []savedView
+	// State is savedState as JSON: gob sizes a decoded map by the count
+	// the stream claims, so the header of an untrusted stream holds none.
+	State    []byte
+	NumViews int
 
-	Hardware     int
-	MinSupport   int64
-	ViewVersions map[uint32]uint64
-	PendingDims  []uint32
-	PendingMeas  []int64
+	Hardware    int
+	MinSupport  int64
+	PendingDims []uint32
+	PendingMeas []int64
 
 	// Holistic sketch section (CountDistinct / Quantile cubes): the
-	// store's parameters plus every sealed sketch blob referenced by a
-	// saved view measure. The measure words in the saved views are
-	// sketch handles and stay valid verbatim because Import reinstalls
-	// each blob at the exact slot it was exported from. Sums[i] is
-	// Blobs[i]'s FNV-1a checksum, verified at load. Absent (zero) on
-	// algebraic cubes.
-	SketchKind           int
-	SketchFMBitmaps      int
-	SketchExactThreshold int
-	SketchMaxBuckets     int
-	SketchArenaBudget    int
-	SketchHandles        []int64
-	SketchBlobs          [][]byte
-	SketchSums           []uint64
+	// store's parameters (the loader takes the kind from Op) plus every
+	// sealed sketch blob referenced by a saved view measure. The measure
+	// words in the saved views are sketch handles and stay valid verbatim
+	// because Import reinstalls each blob at the exact slot it was
+	// exported from. Sums[i] is Blobs[i]'s FNV-1a checksum, verified at
+	// load. Absent (zero) on algebraic cubes.
+	SketchConfig  sketch.Config
+	SketchHandles []int64
+	SketchBlobs   [][]byte
+	SketchSums    []uint64
+
+	// state and views are what encode writes as State and as the
+	// sections after the header message.
+	state savedState
+	views []savedView
+}
+
+// savedState is the part of the header that holds maps.
+type savedState struct {
+	Metrics      Metrics
+	ViewVersions map[lattice.ViewID]uint64
 }
 
 type savedView struct {
@@ -79,62 +86,49 @@ type savedView struct {
 }
 
 // savedCubeVersion is the only snapshot format written and read.
-const savedCubeVersion = 3
+const savedCubeVersion = 4
 
 // ErrUnsupportedSnapshot is wrapped by LoadCube's error when the
-// stream decodes but is not a format-3 snapshot.
+// stream decodes but is not a format-4 snapshot.
 var ErrUnsupportedSnapshot = errors.New("rolap: unsupported snapshot version")
 
 // Save serializes the cube (schema, dictionaries, metrics, every
 // materialized view, and any buffered facts) so it can be reloaded
 // with LoadCube, queried, and further maintained without rebuilding.
 //
-// Save is safe to call concurrently with Ingest: the pending-buffer
-// copy, the version-counter snapshot, and the gather of every view
-// slice all happen inside one maintenance critical section, so the
-// serialized cube is always a committed batch boundary — never a torn
-// mixture of pre-batch and post-batch views.
+// Save is safe to call concurrently with Ingest: the snapshot is
+// captured under the ingest lock, so it is a committed batch boundary,
+// never a torn mixture of pre- and post-batch views; it is written
+// after the lock is released, so a slow w holds up no batch.
 func (c *Cube) Save(w io.Writer) error {
 	c.ingMu.Lock()
-	defer c.ingMu.Unlock()
-	return c.saveLocked(w, true)
+	sc := c.capture(true)
+	c.ingMu.Unlock()
+	return sc.encode(w)
 }
 
-// saveLocked is Save's body, for callers that already hold ingMu (the
-// replica tier snapshots the leader from inside its commit hook).
-// includePending controls whether buffered-but-unapplied facts are
-// serialized; replica bootstrap snapshots exclude them, because those
-// facts will arrive at the replica later as part of a shipped batch
-// and must not be double counted.
-func (c *Cube) saveLocked(w io.Writer, includePending bool) error {
-	sc := savedCube{
+// capture copies what a snapshot needs while the caller holds ingMu:
+// the header, the pending buffer, the sketch section and each view's
+// per-rank sealed slice references. It decodes nothing; a holistic
+// cube's handles come from each slice's measure column. Replica
+// bootstraps pass includePending=false: buffered facts reach replicas
+// later in a shipped batch and must not be counted twice.
+func (c *Cube) capture(includePending bool) *savedCube {
+	sc := &savedCube{
 		Version:    savedCubeVersion,
 		Dimensions: c.in.schema.Dimensions,
 		Dicts:      c.in.dicts,
 		Op:         int(c.op),
-		Metrics:    c.Metrics(),
 		Hardware:   int(c.opts.Hardware),
 		MinSupport: c.opts.MinSupport,
+		state:      savedState{Metrics: c.Metrics()},
 	}
-	// On a holistic cube every view measure is a sketch handle; collect
-	// them (deduplicated, in deterministic order) so the sealed blobs
-	// travel with the file.
 	handleSet := map[int64]bool{}
-	collectHandles := func(rows *record.Table) {
-		if c.sketch == nil {
-			return
-		}
-		for i := 0; i < rows.Len(); i++ {
-			if m := rows.Meas(i); m < 0 {
-				handleSet[m] = true
-			}
-		}
-	}
-	snapshot := func() error {
-		sc.ViewVersions = map[uint32]uint64{}
-		for v, ver := range c.engine.Versions() {
-			sc.ViewVersions[uint32(v)] = ver
-		}
+	// One maintenance section across every view: holding ingMu alone is
+	// not enough, because the per-view captures would otherwise
+	// interleave with an engine-level slice replacement.
+	c.engine.Maintain(func() error {
+		sc.state.ViewVersions = c.engine.Versions()
 		if includePending {
 			for i := 0; i < c.pending.Len(); i++ {
 				sc.PendingDims = append(sc.PendingDims, c.pending.Row(i)...)
@@ -143,8 +137,6 @@ func (c *Cube) saveLocked(w io.Writer, includePending bool) error {
 		}
 		for _, v := range c.views {
 			sv := savedView{View: uint32(v), Order: c.orders[v]}
-			// Gather the sealed per-rank slices as-is — the file carries
-			// the compressed block images and their placement.
 			name := core.ViewFile(v)
 			for r := 0; r < c.machine.P(); r++ {
 				disk := c.machine.Proc(r).Disk()
@@ -155,31 +147,19 @@ func (c *Cube) saveLocked(w io.Writer, includePending bool) error {
 				s, _ := disk.GetSlice(name)
 				sv.Ranks = append(sv.Ranks, r)
 				sv.Slices = append(sv.Slices, s)
-				sv.Sums = append(sv.Sums, s.Checksum())
+				for i := 0; c.sketch != nil && i < s.Len(); i++ {
+					if m := s.Meas(i); m < 0 {
+						handleSet[m] = true
+					}
+				}
 			}
-			// The row gather is needed only for the sketch handles of a
-			// holistic cube, but runs (and charges its read) on every
-			// cube: it also fills each slice's decode cache, which the
-			// first scans after a Save hit warm. Known accident — see
-			// DESIGN.md §12; it goes with the row decode it hides.
-			collectHandles(c.gatherViewRaw(v))
-			sc.Views = append(sc.Views, sv)
+			sc.views = append(sc.views, sv)
 		}
 		return nil
-	}
-	// One maintenance section across every view: holding ingMu alone is
-	// not enough, because the per-view gathers would otherwise
-	// interleave with an engine-level slice replacement.
-	if err := c.engine.Maintain(snapshot); err != nil {
-		return err
-	}
+	})
+	sc.NumViews = len(sc.views)
 	if c.sketch != nil {
-		cfg := c.sketch.Config()
-		sc.SketchKind = int(cfg.Kind)
-		sc.SketchFMBitmaps = cfg.FMBitmaps
-		sc.SketchExactThreshold = cfg.ExactThreshold
-		sc.SketchMaxBuckets = cfg.MaxBuckets
-		sc.SketchArenaBudget = cfg.ArenaBudget
+		sc.SketchConfig = c.sketch.Config()
 		handles := make([]int64, 0, len(handleSet))
 		for h := range handleSet {
 			handles = append(handles, h)
@@ -192,7 +172,31 @@ func (c *Cube) saveLocked(w io.Writer, includePending bool) error {
 			sc.SketchSums[i] = blobSum(b)
 		}
 	}
-	return gob.NewEncoder(w).Encode(sc)
+	return sc
+}
+
+// encode writes the header, then one section per view. It needs no
+// lock: the slices it checksums and writes are sealed, hence immutable.
+func (sc *savedCube) encode(w io.Writer) error {
+	var err error
+	if sc.State, err = json.Marshal(sc.state); err != nil {
+		return err
+	}
+	enc := gob.NewEncoder(w)
+	if err := enc.Encode(sc); err != nil {
+		return err
+	}
+	for i := range sc.views {
+		sv := &sc.views[i]
+		sv.Sums = make([]uint64, len(sv.Slices))
+		for k, s := range sv.Slices {
+			sv.Sums[k] = s.Checksum()
+		}
+		if err := enc.Encode(sv); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // blobSum is the FNV-1a checksum persisted alongside each sketch blob:
@@ -201,19 +205,6 @@ func blobSum(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)
 	return h.Sum64()
-}
-
-// gatherViewRaw reads view v's slices into one table directly off the
-// processors' disks, without entering the engine's maintenance section
-// (Maintain is not reentrant; saveLocked already holds it).
-func (c *Cube) gatherViewRaw(v lattice.ViewID) *record.Table {
-	rows := record.New(v.Count(), 0)
-	for r := 0; r < c.machine.P(); r++ {
-		if t, ok := c.machine.Proc(r).Disk().Get(core.ViewFile(v)); ok {
-			rows.AppendTable(t)
-		}
-	}
-	return rows
 }
 
 // LoadCube deserializes a cube written by Save and rehydrates the full
@@ -226,40 +217,44 @@ func (c *Cube) gatherViewRaw(v lattice.ViewID) *record.Table {
 // RangeAggregate exactly like the original and (unless it is an
 // iceberg cube) accepts Ingest.
 //
-// The stream is untrusted: anything but a format-3 snapshot is
+// The stream is untrusted: anything but a format-4 snapshot is
 // rejected with ErrUnsupportedSnapshot, damaged blocks with an error
-// wrapping colstore.ErrCorrupt, and inconsistent metadata with a plain
-// error — never a panic, never a silently wrong cube.
+// wrapping colstore.ErrCorrupt, and inconsistent metadata or missing
+// sections with a plain error — never a panic, never a partial cube.
 func LoadCube(r io.Reader) (*Cube, error) {
+	dec := gob.NewDecoder(r)
 	var sc savedCube
-	if err := gob.NewDecoder(r).Decode(&sc); err != nil {
+	if err := dec.Decode(&sc); err != nil {
 		return nil, fmt.Errorf("rolap: loading cube: %w", err)
 	}
 	if sc.Version != savedCubeVersion {
 		return nil, fmt.Errorf("%w %d (want %d)", ErrUnsupportedSnapshot, sc.Version, savedCubeVersion)
 	}
+	var st savedState
+	if err := json.Unmarshal(sc.State, &st); err != nil {
+		return nil, fmt.Errorf("rolap: corrupt snapshot state: %w", err)
+	}
 	in, err := NewInput(Schema{Dimensions: sc.Dimensions})
 	if err != nil {
 		return nil, err
 	}
-	in.dicts = sc.Dicts
 	d := len(sc.Dimensions)
+	if sc.Dicts != nil && len(sc.Dicts) != d {
+		return nil, fmt.Errorf("rolap: corrupt snapshot: %d dictionaries for %d dimensions", len(sc.Dicts), d)
+	}
+	in.dicts = sc.Dicts
 
-	p := sc.Metrics.Processors
+	p := st.Metrics.Processors
 	if p < 1 || p > maxProcessors {
 		return nil, fmt.Errorf("rolap: saved processor count %d out of range", p)
 	}
-	params := costmodel.Default()
-	if Hardware(sc.Hardware) == ModernCluster {
-		params = costmodel.Modern()
-	}
-	m := cluster.New(p, params)
+	m := cluster.New(p, Hardware(sc.Hardware).params())
 
 	c := &Cube{
 		in:      in,
 		machine: m,
 		orders:  map[lattice.ViewID]lattice.Order{},
-		metrics: sc.Metrics,
+		metrics: st.Metrics,
 		op:      record.AggOp(sc.Op),
 		opts: Options{
 			Processors: p,
@@ -279,6 +274,8 @@ func LoadCube(r io.Reader) (*Cube, error) {
 		c.opts.Aggregate = CountDistinct
 	case record.OpQuantile:
 		c.opts.Aggregate = Quantile
+	default:
+		return nil, fmt.Errorf("rolap: corrupt snapshot: unknown aggregate %d", sc.Op)
 	}
 	if c.op.Holistic() {
 		if len(sc.SketchHandles) != len(sc.SketchBlobs) || len(sc.SketchHandles) != len(sc.SketchSums) {
@@ -290,23 +287,35 @@ func LoadCube(r io.Reader) (*Cube, error) {
 				return nil, fmt.Errorf("rolap: sketch blob for handle %d: checksum mismatch", sc.SketchHandles[i])
 			}
 		}
-		st := sketch.NewStore(sketch.Config{
-			Kind:           sketch.Kind(sc.SketchKind),
-			FMBitmaps:      sc.SketchFMBitmaps,
-			ExactThreshold: sc.SketchExactThreshold,
-			MaxBuckets:     sc.SketchMaxBuckets,
-			ArenaBudget:    sc.SketchArenaBudget,
-		})
+		cfg := sc.SketchConfig
+		cfg.Kind = c.opts.Aggregate.sketchKind()
+		st := sketch.NewStore(cfg)
 		if err := st.Import(sc.SketchHandles, sc.SketchBlobs); err != nil {
 			return nil, fmt.Errorf("rolap: %w", err)
 		}
 		c.sketch = st
-		c.opts.SketchExactThreshold = sc.SketchExactThreshold
-		c.opts.SketchMaxBuckets = sc.SketchMaxBuckets
-		c.opts.SketchArenaBudget = sc.SketchArenaBudget
+		c.opts.SketchExactThreshold = cfg.ExactThreshold
+		c.opts.SketchMaxBuckets = cfg.MaxBuckets
+		c.opts.SketchArenaBudget = cfg.ArenaBudget
 	}
 
-	for _, sv := range sc.Views {
+	if len(sc.PendingDims) != len(sc.PendingMeas)*d {
+		return nil, fmt.Errorf("rolap: corrupt saved pending buffer")
+	}
+	for i := range sc.PendingMeas {
+		c.pending.Append(sc.PendingDims[i*d:(i+1)*d], sc.PendingMeas[i])
+	}
+
+	// Each view section is validated and placed as it is decoded; a
+	// stream that ends early is an error, never a partial cube.
+	if sc.NumViews < 0 || sc.NumViews > 1<<d {
+		return nil, fmt.Errorf("rolap: corrupt snapshot: %d views for d=%d", sc.NumViews, d)
+	}
+	for k := 0; k < sc.NumViews; k++ {
+		var sv savedView
+		if err := dec.Decode(&sv); err != nil {
+			return nil, fmt.Errorf("rolap: loading view section %d of %d: %w", k+1, sc.NumViews, err)
+		}
 		v := lattice.ViewID(sv.View)
 		order := lattice.Order(sv.Order)
 		if _, dup := c.orders[v]; dup {
@@ -340,12 +349,6 @@ func LoadCube(r io.Reader) (*Cube, error) {
 		c.views = append(c.views, v)
 		c.orders[v] = order
 	}
-	if len(sc.PendingDims) != len(sc.PendingMeas)*d {
-		return nil, fmt.Errorf("rolap: corrupt saved pending buffer")
-	}
-	for i := range sc.PendingMeas {
-		c.pending.Append(sc.PendingDims[i*d:(i+1)*d], sc.PendingMeas[i])
-	}
 
 	// Planning row counts are derived from the placed storage, not
 	// tracked separately — one source of truth for slice lengths.
@@ -358,13 +361,7 @@ func LoadCube(r io.Reader) (*Cube, error) {
 	if c.sketch != nil {
 		c.engine.SetSketch(c.sketch)
 	}
-	if len(sc.ViewVersions) > 0 {
-		vers := make(map[lattice.ViewID]uint64, len(sc.ViewVersions))
-		for v, ver := range sc.ViewVersions {
-			vers[lattice.ViewID(v)] = ver
-		}
-		c.engine.RestoreVersions(vers)
-	}
+	c.engine.RestoreVersions(st.ViewVersions)
 	return c, nil
 }
 

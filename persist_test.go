@@ -4,11 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"reflect"
+	"runtime"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/colstore"
+	"repro/internal/gen"
 	"repro/internal/lattice"
 	"repro/internal/record"
 )
@@ -346,8 +355,9 @@ func TestSaveDuringIngestNotTorn(t *testing.T) {
 }
 
 // legacyCube / legacyView are the wire shape of snapshot formats 1 and
-// 2 (flat row arrays per view), kept here only to hand-encode streams
-// the loader must refuse.
+// 2 (flat row arrays per view), and format3Cube that of format 3 (the
+// sealed slices inline, the whole cube one message), kept here only to
+// hand-encode streams the loader must refuse.
 type legacyView struct {
 	View  uint32
 	Order []int
@@ -367,19 +377,77 @@ type legacyCube struct {
 	ViewVersions map[uint32]uint64
 }
 
-// TestLoadCubeRejectsUntrustedSnapshots: every way a stream can lie to
-// the one remaining loader returns an error — the right typed one
-// where there is one — and never panics or yields a cube.
-func TestLoadCubeRejectsUntrustedSnapshots(t *testing.T) {
-	in, _ := loadRandom(t, 600, 131)
+type format3Cube struct {
+	Version    int
+	Dimensions []Dimension
+	Op         int
+	Metrics    Metrics
+	Views      []savedView
+	Hardware   int
+}
+
+// decodeSnapshot splits a snapshot into its header (State decoded into
+// sc.state) and its view sections (in sc.views), validating neither.
+func decodeSnapshot(t testing.TB, snap []byte) *savedCube {
+	t.Helper()
+	dec := gob.NewDecoder(bytes.NewReader(snap))
+	sc := &savedCube{}
+	if err := dec.Decode(sc); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(sc.State, &sc.state); err != nil {
+		t.Fatal(err)
+	}
+	sc.views = make([]savedView, sc.NumViews)
+	for i := range sc.views {
+		if err := dec.Decode(&sc.views[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sc
+}
+
+// encodeSnapshot writes sc's header and sections verbatim — NumViews and
+// checksums as they stand, so a damaged snapshot stays damaged — and
+// returns the stream with the offset at which each message ends.
+func encodeSnapshot(t testing.TB, sc *savedCube) (stream []byte, ends []int) {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(sc); err != nil {
+		t.Fatal(err)
+	}
+	ends = append(ends, buf.Len())
+	for i := range sc.views {
+		if err := enc.Encode(&sc.views[i]); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, buf.Len())
+	}
+	return buf.Bytes(), ends
+}
+
+// untrustedCase is a stream LoadCube must refuse: with an error
+// wrapping is, or any error when is is nil.
+type untrustedCase struct {
+	name   string
+	stream []byte
+	is     error
+}
+
+// untrustedSnapshots returns a valid snapshot of a small cube and every
+// way the tests know for a stream to lie to the loader.
+func untrustedSnapshots(t testing.TB) (good []byte, cases []untrustedCase) {
+	in, _ := loadRandom(t, 90, 131)
 	cube, err := Build(in, Options{Processors: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var good bytes.Buffer
-	if err := cube.Save(&good); err != nil {
+	var buf bytes.Buffer
+	if err := cube.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	good = buf.Bytes()
 	encode := func(v any) []byte {
 		t.Helper()
 		var buf bytes.Buffer
@@ -410,47 +478,59 @@ func TestLoadCubeRejectsUntrustedSnapshots(t *testing.T) {
 		}
 		return encode(lc)
 	}
+	// format3 puts the sections back inside the header, as format 3 did.
+	format3 := func() []byte {
+		sc := decodeSnapshot(t, good)
+		return encode(format3Cube{Version: 3, Dimensions: sc.Dimensions, Op: sc.Op,
+			Metrics: sc.state.Metrics, Views: sc.views, Hardware: sc.Hardware})
+	}
 	// damaged re-encodes the good snapshot after one mutation.
 	damaged := func(damage func(sc *savedCube)) []byte {
 		t.Helper()
-		var sc savedCube
-		if err := gob.NewDecoder(bytes.NewReader(good.Bytes())).Decode(&sc); err != nil {
+		sc := decodeSnapshot(t, good)
+		damage(sc)
+		stream, _ := encodeSnapshot(t, sc)
+		return stream
+	}
+	// setProcessors rewrites the machine size recorded in the state.
+	setProcessors := func(sc *savedCube, p int) {
+		sc.state.Metrics.Processors = p
+		var err error
+		if sc.State, err = json.Marshal(sc.state); err != nil {
 			t.Fatal(err)
 		}
-		damage(&sc)
-		return encode(sc)
 	}
 	// widest returns the saved view with the most dimensions.
 	widest := func(sc *savedCube) *savedView {
-		best := &sc.Views[0]
-		for i := range sc.Views {
-			if len(sc.Views[i].Order) > len(best.Order) {
-				best = &sc.Views[i]
+		best := &sc.views[0]
+		for i := range sc.views {
+			if len(sc.views[i].Order) > len(best.Order) {
+				best = &sc.views[i]
 			}
 		}
 		return best
 	}
 
-	cases := []struct {
-		name   string
-		stream []byte
-		is     error // nil: any error will do
-	}{
+	return good, []untrustedCase{
 		{"not a gob", []byte("not a gob"), nil},
 		{"version 1", legacy(1), ErrUnsupportedSnapshot},
 		{"version 2", legacy(2), ErrUnsupportedSnapshot},
+		{"version 3: one message", format3(), ErrUnsupportedSnapshot},
 		{"future version", encode(savedCube{Version: 99}), ErrUnsupportedSnapshot},
 		{"checksums stripped", damaged(func(sc *savedCube) {
-			for i := range sc.Views {
-				sc.Views[i].Sums = nil
+			for i := range sc.views {
+				sc.views[i].Sums = nil
 			}
 		}), colstore.ErrCorrupt},
 		{"checksums short", damaged(func(sc *savedCube) {
 			sv := widest(sc)
 			sv.Sums = sv.Sums[:len(sv.Sums)-1]
 		}), colstore.ErrCorrupt},
-		{"p = 1<<30", damaged(func(sc *savedCube) { sc.Metrics.Processors = 1 << 30 }), nil},
-		{"p = 0", damaged(func(sc *savedCube) { sc.Metrics.Processors = 0 }), nil},
+		{"p = 1<<30", damaged(func(sc *savedCube) { setProcessors(sc, 1<<30) }), nil},
+		{"p = 0", damaged(func(sc *savedCube) { setProcessors(sc, 0) }), nil},
+		{"state not JSON", damaged(func(sc *savedCube) { sc.State = sc.State[:len(sc.State)-1] }), nil},
+		{"dictionaries for too few dimensions", damaged(func(sc *savedCube) { sc.Dicts = [][]string{{"a"}} }), nil},
+		{"unknown aggregate", damaged(func(sc *savedCube) { sc.Op = 99 }), nil},
 		{"order names a dimension >= d", damaged(func(sc *savedCube) {
 			sv := widest(sc)
 			sv.Order = append([]int(nil), sv.Order...)
@@ -466,14 +546,25 @@ func TestLoadCubeRejectsUntrustedSnapshots(t *testing.T) {
 			sv.View = 1 << uint(len(sc.Dimensions))
 		}), nil},
 		{"view saved twice", damaged(func(sc *savedCube) {
-			sc.Views = append(sc.Views, sc.Views[0])
+			sc.views = append(sc.views, sc.views[0])
+			sc.NumViews++
 		}), nil},
 		{"rank placed twice", damaged(func(sc *savedCube) {
 			sv := widest(sc)
 			sv.Ranks = append([]int(nil), sv.Ranks...)
 			sv.Ranks[1] = sv.Ranks[0]
 		}), nil},
+		{"header promises a section the stream lacks", damaged(func(sc *savedCube) { sc.NumViews++ }), nil},
+		{"negative view count", damaged(func(sc *savedCube) { sc.NumViews = -1 }), nil},
+		{"more views than the lattice has", damaged(func(sc *savedCube) { sc.NumViews = 1<<len(sc.Dimensions) + 1 }), nil},
 	}
+}
+
+// TestLoadCubeRejectsUntrustedSnapshots: every way a stream can lie to
+// the one remaining loader returns an error — the right typed one
+// where there is one — and never panics or yields a cube.
+func TestLoadCubeRejectsUntrustedSnapshots(t *testing.T) {
+	_, cases := untrustedSnapshots(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -492,6 +583,41 @@ func TestLoadCubeRejectsUntrustedSnapshots(t *testing.T) {
 	}
 }
 
+// FuzzLoadCube: no byte string panics LoadCube, it returns a cube or an
+// error and never both, and a cube it accepts saves and loads again.
+// The seed corpus (a valid snapshot, a holistic one, and every
+// untrusted case) runs in plain go test; `make fuzz` explores beyond it.
+func FuzzLoadCube(f *testing.F) {
+	good, cases := untrustedSnapshots(f)
+	f.Add(good)
+	for _, tc := range cases {
+		f.Add(tc.stream)
+	}
+	rows, meas := holisticFacts(120, 7)
+	var holistic bytes.Buffer
+	if err := buildHolisticCube(f, rows, meas, Quantile).Save(&holistic); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(holistic.Bytes())
+
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		c, err := LoadCube(bytes.NewReader(stream))
+		if (c == nil) == (err == nil) {
+			t.Fatalf("LoadCube returned cube %v and error %v", c != nil, err)
+		}
+		if c == nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := c.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCube(&again); err != nil {
+			t.Fatalf("accepted snapshot does not round-trip: %v", err)
+		}
+	})
+}
+
 func mustAggregate(t *testing.T, c *Cube, dims []string, key []uint32) int64 {
 	t.Helper()
 	got, err := c.Aggregate(dims, key)
@@ -501,7 +627,7 @@ func mustAggregate(t *testing.T, c *Cube, dims []string, key []uint32) int64 {
 	return got
 }
 
-// TestSaveLoadColumnarMatchesRowOracle: a snapshot is the format-3
+// TestSaveLoadColumnarMatchesRowOracle: a snapshot is the format-4
 // columnar image — smaller than the cube's row-format size — and
 // reloads to byte-identical views whose answers match the input-level
 // oracle.
@@ -515,12 +641,8 @@ func TestSaveLoadColumnarMatchesRowOracle(t *testing.T) {
 	if err := cube.Save(&snap); err != nil {
 		t.Fatal(err)
 	}
-	var sc savedCube
-	if err := gob.NewDecoder(bytes.NewReader(snap.Bytes())).Decode(&sc); err != nil {
-		t.Fatal(err)
-	}
-	if sc.Version != 3 {
-		t.Fatalf("save wrote version %d, want 3", sc.Version)
+	if sc := decodeSnapshot(t, snap.Bytes()); sc.Version != 4 || sc.NumViews != len(cube.Views()) {
+		t.Fatalf("save wrote version %d with %d view sections, want 4 with %d", sc.Version, sc.NumViews, len(cube.Views()))
 	}
 	var rowBytes int64
 	for _, dims := range cube.Views() {
@@ -563,24 +685,18 @@ func TestLoadCubeCorruptColumnarBlock(t *testing.T) {
 	}
 	corrupt := func(t *testing.T, damage func(sc *savedCube) bool) error {
 		t.Helper()
-		var sc savedCube
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&sc); err != nil {
-			t.Fatal(err)
-		}
-		if !damage(&sc) {
+		sc := decodeSnapshot(t, buf.Bytes())
+		if !damage(sc) {
 			t.Fatal("no columnar block to damage")
 		}
-		var bad bytes.Buffer
-		if err := gob.NewEncoder(&bad).Encode(sc); err != nil {
-			t.Fatal(err)
-		}
-		_, err := LoadCube(&bad)
+		bad, _ := encodeSnapshot(t, sc)
+		_, err := LoadCube(bytes.NewReader(bad))
 		return err
 	}
 
 	err = corrupt(t, func(sc *savedCube) bool {
-		for i := range sc.Views {
-			for _, s := range sc.Views[i].Slices {
+		for i := range sc.views {
+			for _, s := range sc.views[i].Slices {
 				if s.Corrupt(0xdeadbeef) {
 					return true
 				}
@@ -593,8 +709,8 @@ func TestLoadCubeCorruptColumnarBlock(t *testing.T) {
 	}
 
 	err = corrupt(t, func(sc *savedCube) bool {
-		for i := range sc.Views {
-			for _, s := range sc.Views[i].Slices {
+		for i := range sc.views {
+			for _, s := range sc.views[i].Slices {
 				for j := range s.Cols {
 					if len(s.Cols[j].Words) > 0 {
 						s.Cols[j].Words = s.Cols[j].Words[:len(s.Cols[j].Words)-1]
@@ -610,8 +726,10 @@ func TestLoadCubeCorruptColumnarBlock(t *testing.T) {
 	}
 }
 
-// TestLoadCubeTruncatedStream: cutting the gob stream at arbitrary
-// points must produce an error, not a panic or a partial cube.
+// TestLoadCubeTruncatedStream: cutting the stream anywhere — inside a
+// message, or exactly at a section boundary, where every message before
+// the cut is whole — must produce an error, not a panic or a partial
+// cube.
 func TestLoadCubeTruncatedStream(t *testing.T) {
 	in, _ := loadRandom(t, 800, 73)
 	cube, err := Build(in, Options{Processors: 2})
@@ -623,9 +741,244 @@ func TestLoadCubeTruncatedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	for _, k := range []int{1, len(b) / 4, len(b) / 2, 3 * len(b) / 4, len(b) - 1} {
+	cuts := []int{0, 1, len(b) / 4, len(b) / 2, 3 * len(b) / 4, len(b) - 1}
+	for _, k := range cuts {
 		if _, err := LoadCube(bytes.NewReader(b[:k])); err == nil {
 			t.Fatalf("truncation at %d of %d bytes accepted", k, len(b))
 		}
 	}
+	stream, ends := encodeSnapshot(t, decodeSnapshot(t, b))
+	if len(ends) != len(cube.Views())+1 {
+		t.Fatalf("%d messages, want a header and %d view sections", len(ends), len(cube.Views()))
+	}
+	for i, k := range ends[:len(ends)-1] {
+		if c, err := LoadCube(bytes.NewReader(stream[:k])); err == nil || c != nil {
+			t.Fatalf("stream cut after message %d (%d of %d bytes) accepted", i, k, len(stream))
+		}
+	}
+	if _, err := LoadCube(bytes.NewReader(stream)); err != nil {
+		t.Fatalf("whole re-encoded stream: %v", err)
+	}
+}
+
+// rowSketchSection is the sketch section as Save built it when it
+// gathered every view to row form: every negative measure word of every
+// view, sorted, with the store's blobs and their checksums. It is the
+// oracle for the slice walk that replaced the gather.
+func rowSketchSection(c *Cube) (handles []int64, blobs [][]byte, sums []uint64) {
+	set := map[int64]bool{}
+	for _, v := range c.views {
+		rows := c.gatherViewRaw(v)
+		for i := 0; i < rows.Len(); i++ {
+			if m := rows.Meas(i); m < 0 {
+				set[m] = true
+			}
+		}
+	}
+	for h := range set {
+		handles = append(handles, h)
+	}
+	sort.Slice(handles, func(i, j int) bool { return handles[i] < handles[j] })
+	blobs = c.sketch.Export(handles)
+	for _, b := range blobs {
+		sums = append(sums, blobSum(b))
+	}
+	return handles, blobs, sums
+}
+
+// TestSaveHolisticSketchSectionWithoutRows: a holistic cube's saved
+// sketch section, collected from the sealed slices' measure columns, is
+// bit-identical to the one a row gather collects — after a build and an
+// ingest batch, whose handles live in other shard slots — and Save
+// leaves every slice's decode cache empty.
+func TestSaveHolisticSketchSectionWithoutRows(t *testing.T) {
+	for name, agg := range map[string]Aggregate{"count-distinct": CountDistinct, "quantile": Quantile} {
+		rows, meas := holisticFacts(700, 19)
+		cube := buildHolisticCube(t, rows, meas, agg)
+		brows, bmeas := holisticFacts(150, 23)
+		if _, err := cube.Ingest(brows, bmeas); err != nil {
+			t.Fatal(err)
+		}
+		if got := cube.DecodedBytes(); got != 0 {
+			t.Fatalf("%s: %d decoded bytes before Save", name, got)
+		}
+		var snap bytes.Buffer
+		if err := cube.Save(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if got := cube.DecodedBytes(); got != 0 {
+			t.Fatalf("%s: Save left %d bytes in decode caches", name, got)
+		}
+		sc := decodeSnapshot(t, snap.Bytes())
+		handles, blobs, sums := rowSketchSection(cube)
+		if len(handles) == 0 {
+			t.Fatalf("%s: cube has no sketch handles", name)
+		}
+		if !reflect.DeepEqual(sc.SketchHandles, handles) || !reflect.DeepEqual(sc.SketchBlobs, blobs) || !reflect.DeepEqual(sc.SketchSums, sums) {
+			t.Fatalf("%s: saved sketch section (%d handles) differs from the row gather's (%d handles)", name, len(sc.SketchHandles), len(handles))
+		}
+	}
+}
+
+// blockingWriter is an io.Writer whose every Write waits until the test
+// closes release; started is closed by the first Write.
+type blockingWriter struct {
+	started, release chan struct{}
+	once             sync.Once
+	buf              bytes.Buffer
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.started) })
+	<-w.release
+	return w.buf.Write(p)
+}
+
+// TestSaveBlockedWriterDoesNotBlockIngest: Save captures the cube under
+// the ingest lock and writes after releasing it, so while Save sits in
+// a Write that does not return, an Ingest + Flush on the same cube
+// completes — and the bytes Save writes load to the pre-batch cube,
+// views and version vector both.
+func TestSaveBlockedWriterDoesNotBlockIngest(t *testing.T) {
+	rows, meas := randomFacts(600, 211)
+	base := 450
+	cube := buildFromFacts(t, rows[:base], meas[:base], Options{Processors: 3})
+	pre := buildFromFacts(t, rows[:base], meas[:base], Options{Processors: 3})
+	preVers := cube.engine.Versions()
+
+	w := &blockingWriter{started: make(chan struct{}), release: make(chan struct{})}
+	saved := make(chan error, 1)
+	go func() { saved <- cube.Save(w) }()
+	<-w.started
+
+	ingested := make(chan error, 1)
+	go func() {
+		_, err := cube.Ingest(rows[base:], meas[base:])
+		if err == nil {
+			_, err = cube.Flush()
+		}
+		ingested <- err
+	}()
+	select {
+	case err := <-ingested:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		close(w.release)
+		t.Fatal("Ingest + Flush did not complete while Save was blocked in Write")
+	}
+	close(w.release)
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+
+	if reflect.DeepEqual(cube.engine.Versions(), preVers) {
+		t.Fatal("the batch bumped no view version")
+	}
+	loaded, err := LoadCube(&w.buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCubesEqual(t, loaded, pre)
+	if got := loaded.engine.Versions(); !reflect.DeepEqual(got, preVers) {
+		t.Fatalf("loaded versions %v, pre-batch %v", got, preVers)
+	}
+}
+
+// TestSaveLeavesDecodeCachesEmpty: on an algebraic cube no slice holds
+// a row-form decode after Build or after Save; reading every view
+// through View fills the caches with exactly the cube in row form,
+// which is what a Save that gathered rows used to leave pinned.
+func TestSaveLeavesDecodeCachesEmpty(t *testing.T) {
+	in, _ := loadRandom(t, 1000, 89)
+	cube, err := Build(in, Options{Processors: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cube.DecodedBytes(); got != 0 {
+		t.Fatalf("%d decoded bytes after Build, want 0", got)
+	}
+	if err := cube.Save(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if got := cube.DecodedBytes(); got != 0 {
+		t.Fatalf("%d decoded bytes after Save, want 0", got)
+	}
+	var rowBytes int64
+	for _, dims := range cube.Views() {
+		vw, err := cube.View(dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowBytes += int64(vw.rows.Bytes())
+	}
+	if got := cube.DecodedBytes(); got != rowBytes {
+		t.Fatalf("%d decoded bytes after reading every view, want the cube's %d row-form bytes", got, rowBytes)
+	}
+}
+
+// countingWriter discards what it is given and counts the bytes.
+type countingWriter struct{ n int64 }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestSaveFootprint: on the full d=8 cube of 36k rows on 4 processors
+// (the build-full-d8 benchmark's shape; 20k rows with -short), Save
+// streams sealed slices without materializing rows. It allocates at
+// most an eighth of the snapshot it writes, and the live heap after it
+// is within 10% of the live heap after Build.
+func TestSaveFootprint(t *testing.T) {
+	n := 36_000
+	if testing.Short() {
+		n = 20_000
+	}
+	spec := gen.Spec{N: n, D: 8, Cards: gen.PaperCards(), Seed: 1}
+	dims := make([]Dimension, spec.D)
+	for j, card := range spec.Cards {
+		dims[j] = Dimension{Name: fmt.Sprintf("d%d", j), Cardinality: card}
+	}
+	in, err := NewInput(Schema{Dimensions: dims})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gen.New(spec)
+	row := make([]uint32, spec.D)
+	for i := 0; i < n; i++ {
+		g.Row(i, row)
+		if err := in.AddRow(row, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cube, err := Build(in, Options{Processors: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heapInuse := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	afterBuild := heapInuse()
+	var before, after runtime.MemStats
+	var w countingWriter
+	runtime.ReadMemStats(&before)
+	if err := cube.Save(&w); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	afterSave := heapInuse()
+
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(w.n)/8 {
+		t.Errorf("Save allocated %d bytes for a %d-byte snapshot, want at most 1/8", alloc, w.n)
+	}
+	if float64(afterSave) > 1.1*float64(afterBuild) {
+		t.Errorf("heap in use %d bytes after Save, %d after Build: more than 10%% apart", afterSave, afterBuild)
+	}
+	t.Logf("%d cube rows, snapshot %d bytes, Save allocated %d bytes; heap in use %d after Build, %d after Save",
+		cube.Metrics().OutputRows, w.n, after.TotalAlloc-before.TotalAlloc, afterBuild, afterSave)
 }

@@ -245,7 +245,7 @@ func (c *Cube) NewReplicaSet(opts ReplicaOptions) (*ReplicaSet, error) {
 	// commit they arrive at the replicas as a shipped batch — including
 	// them here would double count them.
 	var buf bytes.Buffer
-	if err := c.saveLocked(&buf, false); err != nil {
+	if err := c.capture(false).encode(&buf); err != nil {
 		return nil, err
 	}
 	group, err := replica.New(cfg, buf.Bytes(), 0)
@@ -260,10 +260,10 @@ func (c *Cube) NewReplicaSet(opts ReplicaOptions) (*ReplicaSet, error) {
 			// Refresh the bootstrap snapshot at this exact commit: the
 			// hook runs under ingMu with the pending buffer just
 			// cleared, so the serialized cube is precisely the
-			// post-batch-seq state. The gather is leader-local work —
-			// it never waits on replica progress.
+			// post-batch-seq state. Capture and encode are leader-local
+			// work — they never wait on replica progress.
 			var b bytes.Buffer
-			if err := c.saveLocked(&b, false); err == nil {
+			if err := c.capture(false).encode(&b); err == nil {
 				group.SetSnapshot(b.Bytes(), seq)
 			}
 		}

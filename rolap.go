@@ -211,6 +211,14 @@ const (
 	ModernCluster
 )
 
+// params returns the hardware's cost model.
+func (h Hardware) params() costmodel.Params {
+	if h == ModernCluster {
+		return costmodel.Modern()
+	}
+	return costmodel.Default()
+}
+
 // Options configures a cube build.
 type Options struct {
 	// Processors is the shared-nothing machine size (default 4).
@@ -378,11 +386,7 @@ func Build(in *Input, opts Options) (_ *Cube, err error) {
 		})
 	}
 
-	params := costmodel.Default()
-	if opts.Hardware == ModernCluster {
-		params = costmodel.Modern()
-	}
-	m := cluster.New(p, params)
+	m := cluster.New(p, opts.Hardware.params())
 	// Distribute the fact table evenly (Figure 2b's input layout).
 	n := in.table.Len()
 	for r := 0; r < p; r++ {

@@ -17,7 +17,7 @@ func testSchema() Schema {
 
 // loadRandom fills an input with deterministic pseudo-random facts and
 // returns a ground-truth group-by oracle.
-func loadRandom(t *testing.T, n int, seed int64) (*Input, func(dims []string, key []uint32) int64) {
+func loadRandom(t testing.TB, n int, seed int64) (*Input, func(dims []string, key []uint32) int64) {
 	t.Helper()
 	in, err := NewInput(testSchema())
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/lattice"
 	"repro/internal/record"
 )
@@ -130,6 +131,18 @@ func (c *Cube) gather(v lattice.ViewID) (*View, bool) {
 		order:      order,
 		rows:       rows,
 	}, true
+}
+
+// gatherViewRaw reads view v's slices into one table directly off the
+// processors' disks; the caller holds the engine's maintenance section.
+func (c *Cube) gatherViewRaw(v lattice.ViewID) *record.Table {
+	rows := record.New(v.Count(), 0)
+	for r := 0; r < c.machine.P(); r++ {
+		if t, ok := c.machine.Proc(r).Disk().Get(core.ViewFile(v)); ok {
+			rows.AppendTable(t)
+		}
+	}
+	return rows
 }
 
 // Len returns the view's row (group) count.
