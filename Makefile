@@ -26,7 +26,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/cluster/... ./internal/samplesort/... ./internal/core/... ./internal/mergepart/... ./internal/ingest/... ./internal/queryengine/... ./internal/replica/... ./internal/faults/... ./internal/gen/... ./internal/advisor/... ./internal/record/... ./internal/extsort/... ./internal/colstore/... ./internal/sketch/... .
+	$(GO) test -race ./internal/cluster/... ./internal/samplesort/... ./internal/core/... ./internal/mergepart/... ./internal/ingest/... ./internal/queryengine/... ./internal/replica/... ./internal/faults/... ./internal/gen/... ./internal/advisor/... ./internal/record/... ./internal/extsort/... ./internal/colstore/... ./internal/sketch/... ./internal/pipesort/... ./internal/simdisk/... ./internal/sample/... .
 
 # AggOp / sketch-kind exhaustiveness guard: a new aggregate operator
 # must be wired through every serve/merge switch (public enum,

@@ -64,12 +64,15 @@ func LocalRoot(p *cluster.Proc, src, dst string, order lattice.Order, cards []in
 }
 
 // LocalAggregate rewrites a sorted file with adjacent duplicate keys
-// collapsed (the "sequential scan" halves of Steps 1a and 1c).
+// collapsed (the "sequential scan" halves of Steps 1a and 1c). The
+// output is sized from a run count, so it is allocated once.
 func LocalAggregate(p *cluster.Proc, file string, agg record.Agg) {
 	disk := p.Disk()
 	t := disk.MustTake(file)
 	p.Clock().AddCompute(costmodel.ScanOps(t.Len()))
-	disk.Put(file, record.AggregateSortedAgg(t, t.D, agg))
+	out := record.New(t.D, record.CountRuns(t, t.D))
+	record.AggregateSortedAggInto(t, t.D, out, agg)
+	disk.Put(file, out)
 }
 
 // ExecuteSchedule is Step 2 on one processor: Pipesort materializes

@@ -91,11 +91,11 @@ func sortBudget(d *simdisk.Disk, name string, memBytes, blockBytes int, callerPl
 	useCaller := haveCaller && callerPlan.Cols() == cols && callerPlan.Packable()
 
 	if n <= memRows {
-		// Fits in memory: one read, in-memory sort, one write.
-		t := d.ReadRange(name, 0, n)
+		// Fits in memory: one read that takes the file, an in-place
+		// sort, one write.
+		t := d.MustTake(name)
 		clk.AddCompute(costmodel.SortOps(n))
 		t.SortWithPlan(callerPlan, useCaller)
-		d.Remove(name)
 		d.Put(name, t)
 		return 0
 	}
@@ -264,12 +264,14 @@ func mergeRuns(d *simdisk.Disk, runs []string, out string, blockRows int, plan r
 	}
 	clk.AddCompute(costmodel.MergeOps(total, len(runs)))
 
+	// Append copies each flushed block into the output file, so one
+	// block buffer serves the whole merge.
 	outBuf := record.New(cols, blockRows)
-	d.Put(out, record.New(cols, 0))
+	d.Put(out, record.New(cols, total))
 	flush := func() {
 		if outBuf.Len() > 0 {
 			d.Append(out, outBuf)
-			outBuf = record.New(cols, blockRows)
+			outBuf.Reset()
 		}
 	}
 

@@ -43,6 +43,39 @@ func TestSortInMemoryPath(t *testing.T) {
 	}
 }
 
+// TestSortInMemoryCharges pins what the in-memory path bills: one read
+// of the file's stored bytes (compressed when sealed; a range read of
+// every row would charge the same) and one row-format write.
+func TestSortInMemoryCharges(t *testing.T) {
+	t.Parallel()
+	for _, sealed := range []bool{false, true} {
+		d := newDisk()
+		tb := randomTable(4, 500, 3, 20)
+		tb.Sort()
+		d.Put("f", tb.Clone())
+		if sealed {
+			d.Seal("f")
+		}
+		stored := d.StoredBytes("f")
+		before := d.Stats()
+		if passes := Sort(d, "f"); passes != 0 {
+			t.Fatalf("sealed=%v: %d passes, want the in-memory path", sealed, passes)
+		}
+		st := d.Stats()
+		if st.Reads-before.Reads != 1 || st.BytesRead-before.BytesRead != int64(stored) {
+			t.Errorf("sealed=%v: %d reads of %d bytes, want 1 of %d", sealed,
+				st.Reads-before.Reads, st.BytesRead-before.BytesRead, stored)
+		}
+		if st.Writes-before.Writes != 1 || st.BytesWritten-before.BytesWritten != int64(tb.Bytes()) {
+			t.Errorf("sealed=%v: %d writes of %d bytes, want 1 of %d", sealed,
+				st.Writes-before.Writes, st.BytesWritten-before.BytesWritten, tb.Bytes())
+		}
+		if got := d.MustGet("f"); !record.Equal(got, tb) {
+			t.Errorf("sealed=%v: sort changed the rows", sealed)
+		}
+	}
+}
+
 func TestSortExternalSinglePass(t *testing.T) {
 	t.Parallel()
 	d := newDisk()

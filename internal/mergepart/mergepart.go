@@ -254,10 +254,12 @@ func RouteMergeAgg(p *cluster.Proc, file string, ranges []KeyRange, agg record.A
 		if hi < lo {
 			hi = lo
 		}
+		// Key ranges travel as read-only windows: t is not mutated, and
+		// the merge below writes a fresh table.
 		if j == me {
-			kept = t.Sub(lo, hi)
+			kept = t.Window(lo, hi)
 		} else if hi > lo {
-			out[j] = t.Sub(lo, hi)
+			out[j] = t.Window(lo, hi)
 			sent += hi - lo
 		}
 		lo = hi
@@ -409,7 +411,8 @@ func BoundaryAgglomerateAgg(p *cluster.Proc, file string, agg record.Agg) int {
 				t.SetMeas(last, agg.Seal(agg.Combine(t.Meas(last), d)))
 			}
 			if f > 0 {
-				t = t.Sub(f, t.Len())
+				// The disk owns t and drops it for the window.
+				t = t.Window(f, t.Len())
 			}
 			return t
 		})

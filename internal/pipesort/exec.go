@@ -95,10 +95,14 @@ func emitChain(disk *simdisk.Disk, src *record.Table, chain []*lattice.Node, inc
 	st.RowsRead += int64(src.Len())
 
 	lens := make([]int, len(members))
-	outs := make([]*record.Table, len(members))
 	for i, m := range members {
 		lens[i] = len(m.Order)
-		outs[i] = record.New(lens[i], 0)
+	}
+	// A counting pass sizes every output exactly, so each view's rows
+	// are allocated once; the scan is the one billed below.
+	outs := make([]*record.Table, len(members))
+	for i, rows := range groupCounts(src, lens) {
+		outs[i] = record.New(lens[i], rows)
 	}
 	pipelineAggregate(src, lens, outs, record.Agg{Op: opts.Op, State: opts.State})
 
@@ -137,12 +141,7 @@ func pipelineAggregate(src *record.Table, lens []int, outs []*record.Table, agg 
 	for i := 0; i < k; i++ {
 		accs[i] = src.Meas(0)
 	}
-	maxLen := 0
-	for _, l := range lens {
-		if l > maxLen {
-			maxLen = l
-		}
-	}
+	maxLen := maxOf(lens)
 	flush := func(i, row int) {
 		gs := groupStart[i]
 		if combined[i] {
@@ -156,16 +155,9 @@ func pipelineAggregate(src *record.Table, lens []int, outs []*record.Table, agg 
 		fresh[i] = true
 	}
 	for r := 1; r < n; r++ {
-		// First column (within the deepest prefix) where row r differs
-		// from row r-1; levels whose prefix includes that column close
+		// Levels whose prefix includes the first differing column close
 		// their group.
-		diff := maxLen
-		for c := 0; c < maxLen; c++ {
-			if src.Dim(r-1, c) != src.Dim(r, c) {
-				diff = c
-				break
-			}
-		}
+		diff := firstDiff(src, r, maxLen)
 		m := src.Meas(r)
 		for i := 0; i < k; i++ {
 			if lens[i] > diff {
@@ -183,4 +175,50 @@ func pipelineAggregate(src *record.Table, lens []int, outs []*record.Table, agg 
 	for i := 0; i < k; i++ {
 		flush(i, n)
 	}
+}
+
+// groupCounts returns, for each prefix length in lens, the number of
+// groups src (sorted over all its columns) has on that prefix: the row
+// count pipelineAggregate emits at that level, found with the same
+// first-differing-column scan.
+func groupCounts(src *record.Table, lens []int) []int {
+	counts := make([]int, len(lens))
+	n := src.Len()
+	if n == 0 {
+		return counts
+	}
+	for i := range counts {
+		counts[i] = 1
+	}
+	maxLen := maxOf(lens)
+	for r := 1; r < n; r++ {
+		diff := firstDiff(src, r, maxLen)
+		for i, l := range lens {
+			if l > diff {
+				counts[i]++
+			}
+		}
+	}
+	return counts
+}
+
+// firstDiff returns the first column below maxLen where row r of src
+// differs from row r-1, or maxLen if they agree on all of them.
+func firstDiff(src *record.Table, r, maxLen int) int {
+	for c := 0; c < maxLen; c++ {
+		if src.Dim(r-1, c) != src.Dim(r, c) {
+			return c
+		}
+	}
+	return maxLen
+}
+
+func maxOf(lens []int) int {
+	m := 0
+	for _, l := range lens {
+		if l > m {
+			m = l
+		}
+	}
+	return m
 }

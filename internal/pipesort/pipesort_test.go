@@ -217,6 +217,40 @@ func TestExecuteFullCubeSequential(t *testing.T) {
 	}
 }
 
+// TestExecuteWritesExactSizeViews checks the allocation contract of
+// ExecuteOpts: every view it writes is allocated once at its exact row
+// count (cap == len) and holds AggregateSortedAgg of the root projected
+// onto the view's order and sorted.
+func TestExecuteWritesExactSizeViews(t *testing.T) {
+	d := 4
+	cards := []int{8, 6, 4, 3}
+	raw := randomRaw(17, 3000, d, cards)
+	sizer := estimate.NewCardenas(int64(raw.Len()), cards)
+	agg := record.Agg{Op: record.OpSum}
+	for i := 0; i < d; i++ {
+		disk := simdisk.New(costmodel.NewClock(costmodel.Default()))
+		tree := PlanPartition(i, d, sizer)
+		prepRoot(disk, raw, tree.Root.Order)
+		root, _ := disk.Peek(fileOf(tree.Root.View))
+		root = root.Clone()
+		ExecuteOpts(disk, tree, fileOf, Options{SampleCap: 8})
+		tree.Walk(func(n *lattice.Node) {
+			if n == tree.Root {
+				return
+			}
+			got, _ := disk.Peek(fileOf(n.View))
+			if got.Cap() != got.Len() {
+				t.Errorf("partition %d view %v: cap %d, len %d", i, n.View, got.Cap(), got.Len())
+			}
+			src := root.Project(n.Order.ProjectionFrom(tree.Root.Order))
+			src.Sort()
+			if want := record.AggregateSortedAgg(src, src.D, agg); !record.Equal(got, want) {
+				t.Errorf("partition %d view %v: rows differ from the aggregated sorted source", i, n.View)
+			}
+		})
+	}
+}
+
 func TestExecuteEmptyInput(t *testing.T) {
 	d := 3
 	sizer := estimate.NewCardenas(0, []int{4, 4, 4})

@@ -198,6 +198,23 @@ func AggregateSortedAggInto(t *Table, k int, out *Table, agg Agg) {
 	out.meas = append(out.meas, acc)
 }
 
+// CountRuns returns the number of runs of adjacent rows of t that are
+// equal on the first k columns: the row count AggregateSortedAggInto
+// emits for t sorted on those columns, so callers can size its output.
+func CountRuns(t *Table, k int) int {
+	n := t.Len()
+	if n == 0 {
+		return 0
+	}
+	runs := 1
+	for i := 1; i < n; i++ {
+		if t.Compare(i-1, i, k) != 0 {
+			runs++
+		}
+	}
+	return runs
+}
+
 // AggregateSortedAgg is AggregateSortedAggInto with a fresh output.
 func AggregateSortedAgg(t *Table, k int, agg Agg) *Table {
 	out := New(k, 0)

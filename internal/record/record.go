@@ -155,11 +155,38 @@ func (t *Table) Clone() *Table {
 	return c
 }
 
-// Sub returns a deep copy of rows [lo,hi).
+// Sub returns a deep copy of rows [lo,hi), for handing rows to a new
+// owner that may mutate them.
 func (t *Table) Sub(lo, hi int) *Table {
 	c := New(t.D, hi-lo)
 	c.AppendRange(t, lo, hi)
 	return c
+}
+
+// Window returns a read-only alias of rows [lo,hi) that shares t's
+// storage. Its capacity ends at hi, so an append to the window
+// reallocates and never writes into t, and an append to t lands beyond
+// the window. Neither may be mutated in place while the other is in
+// use: a window is how a rank hands a key range to an exchange or a
+// merge without copying it.
+func (t *Table) Window(lo, hi int) *Table {
+	if lo < 0 || hi > t.Len() || lo > hi {
+		panic(fmt.Sprintf("record: window [%d,%d) out of range for %d rows", lo, hi, t.Len()))
+	}
+	return &Table{
+		D:    t.D,
+		dims: t.dims[lo*t.D : hi*t.D : hi*t.D],
+		meas: t.meas[lo:hi:hi],
+	}
+}
+
+// Cap returns the number of rows the table can hold before an append
+// reallocates.
+func (t *Table) Cap() int {
+	if t.D > 0 && cap(t.dims)/t.D < cap(t.meas) {
+		return cap(t.dims) / t.D
+	}
+	return cap(t.meas)
 }
 
 // Project returns a new table whose columns are the given columns of t,

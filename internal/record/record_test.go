@@ -88,6 +88,98 @@ func TestCloneAndSubAreDeep(t *testing.T) {
 	}
 }
 
+func TestWindowAliasesRowsButNotAppends(t *testing.T) {
+	t.Parallel()
+	parent := New(2, 8) // spare capacity: parent appends stay in place
+	for i := uint32(0); i < 4; i++ {
+		parent.Append([]uint32{i, i}, int64(i))
+	}
+	w := parent.Window(1, 3)
+	if w.Len() != 2 || w.Cap() != 2 || w.Dim(0, 0) != 1 || w.Meas(1) != 2 {
+		t.Fatalf("window [1,3) wrong: %v cap %d", w, w.Cap())
+	}
+	// A window aliases its rows: no copy is made.
+	parent.SetMeas(1, 42)
+	if w.Meas(0) != 42 {
+		t.Fatal("window copied its rows instead of aliasing them")
+	}
+	parent.SetMeas(1, 1)
+
+	// An append to the parent lands beyond the window.
+	parent.Append([]uint32{4, 4}, 4)
+	if w.Len() != 2 || w.Dim(1, 0) != 2 {
+		t.Fatalf("parent append changed the window: %v", w)
+	}
+	// An append to the window reallocates instead of overwriting the
+	// parent's next row.
+	w.Append([]uint32{9, 9}, 99)
+	if parent.Dim(3, 0) != 3 || parent.Meas(3) != 3 || parent.Len() != 5 {
+		t.Fatalf("window append wrote into the parent: %v", parent)
+	}
+	if w.Len() != 3 || w.Dim(2, 0) != 9 {
+		t.Fatalf("window append lost: %v", w)
+	}
+
+	// A window of a window covers the parent's rows; appends to it
+	// leave both ancestors alone.
+	outer := parent.Window(1, 4)
+	inner := outer.Window(1, 2)
+	if inner.Len() != 1 || inner.Cap() != 1 || inner.Dim(0, 0) != 2 {
+		t.Fatalf("window of window wrong: %v", inner)
+	}
+	inner.Append([]uint32{8, 8}, 8)
+	if outer.Dim(2, 0) != 3 || parent.Dim(3, 0) != 3 {
+		t.Fatal("append to a window of a window wrote into an ancestor")
+	}
+
+	// Window(lo, lo) is empty and appending to it reallocates.
+	e := parent.Window(2, 2)
+	if e.Len() != 0 || e.Cap() != 0 {
+		t.Fatalf("empty window has %d rows, cap %d", e.Len(), e.Cap())
+	}
+	e.Append([]uint32{7, 7}, 7)
+	if parent.Dim(2, 0) != 2 || parent.Meas(2) != 2 {
+		t.Fatal("append to an empty window wrote into the parent")
+	}
+	end := parent.Window(parent.Len(), parent.Len())
+	end.Append([]uint32{6, 6}, 6)
+	parent.Append([]uint32{5, 5}, 5)
+	if end.Dim(0, 0) != 6 || parent.Dim(5, 0) != 5 {
+		t.Fatal("empty window at the end shares the parent's spare capacity")
+	}
+}
+
+func TestWindowPanicsOutOfRange(t *testing.T) {
+	t.Parallel()
+	tb := FromRows(1, [][]uint32{{1}, {2}}, nil)
+	for _, r := range [][2]int{{-1, 1}, {0, 3}, {2, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Window(%d, %d) did not panic", r[0], r[1])
+				}
+			}()
+			tb.Window(r[0], r[1])
+		}()
+	}
+}
+
+func TestCountRuns(t *testing.T) {
+	t.Parallel()
+	tb := FromRows(2, [][]uint32{{1, 1}, {1, 1}, {1, 2}, {2, 2}, {2, 2}}, nil)
+	for k, want := range []int{1, 2, 3} {
+		if got := CountRuns(tb, k); got != want {
+			t.Errorf("CountRuns(k=%d) = %d, want %d", k, got, want)
+		}
+		if got := AggregateSortedOp(tb, k, OpSum).Len(); got != want {
+			t.Errorf("AggregateSortedOp(k=%d) has %d rows, CountRuns %d", k, got, want)
+		}
+	}
+	if got := CountRuns(New(3, 0), 3); got != 0 {
+		t.Errorf("CountRuns of an empty table = %d", got)
+	}
+}
+
 func TestProject(t *testing.T) {
 	t.Parallel()
 	src := FromRows(3, [][]uint32{{1, 2, 3}, {4, 5, 6}}, []int64{7, 8})

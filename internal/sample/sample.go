@@ -10,7 +10,8 @@
 // The implementation keeps every stride-th key and halves the sample
 // (doubling the stride) whenever the array fills, which is the same
 // "every second element into every second location" compaction the
-// paper describes, expressed without in-place aliasing.
+// paper describes. Retained keys sit back to back in one flat array,
+// so the sample costs one growing allocation, not one per key.
 package sample
 
 import (
@@ -23,8 +24,10 @@ import (
 type Online struct {
 	capacity int
 	stride   int
-	n        int // total keys observed
-	keys     [][]uint32
+	n        int      // total keys observed
+	size     int      // retained keys
+	width    int      // columns per key, fixed by the first key
+	keys     []uint32 // retained keys, width values each
 }
 
 // NewOnline returns a sample that will retain at most a keys; a must
@@ -37,26 +40,41 @@ func NewOnline(a int) *Online {
 }
 
 // Add observes the next key of the stream (keys must arrive in the
-// view's sorted order for rank estimation to be meaningful). The key
-// is copied.
+// view's sorted order for rank estimation to be meaningful, and all
+// have the first key's width). The key is copied.
 func (s *Online) Add(key []uint32) {
 	if s.n%s.stride == 0 {
-		s.keys = append(s.keys, append([]uint32(nil), key...))
-		if len(s.keys) == s.capacity {
-			half := s.keys[: 0 : len(s.keys)/2]
-			for i := 0; i < len(s.keys); i += 2 {
-				half = append(half, s.keys[i])
+		if s.n == 0 {
+			s.width = len(key)
+		} else if len(key) != s.width {
+			panic(fmt.Sprintf("sample: %d-column key in a %d-column sample", len(key), s.width))
+		}
+		s.keys = append(s.keys, key...)
+		s.size++
+		if s.size == s.capacity {
+			// Keep every second key, compacting in place.
+			w := s.width
+			for i := 2; i < s.size; i += 2 {
+				copy(s.keys[i/2*w:], s.keys[i*w:(i+1)*w])
 			}
-			s.keys = half
+			s.size = (s.size + 1) / 2
+			s.keys = s.keys[:s.size*w]
 			s.stride *= 2
 		}
 	}
 	s.n++
 }
 
+// key returns retained key i.
+func (s *Online) key(i int) []uint32 { return s.keys[i*s.width : (i+1)*s.width] }
+
 // AddTable observes every row of a table in order.
 func (s *Online) AddTable(t *record.Table) {
 	n := t.Len()
+	if s.keys == nil {
+		// Never more than min(n, a) keys are retained at once.
+		s.keys = make([]uint32, 0, min(n, s.capacity)*t.D)
+	}
 	for i := 0; i < n; i++ {
 		s.Add(t.Row(i))
 	}
@@ -66,7 +84,7 @@ func (s *Online) AddTable(t *record.Table) {
 func (s *Online) Len() int { return s.n }
 
 // Size returns the number of retained sample keys.
-func (s *Online) Size() int { return len(s.keys) }
+func (s *Online) Size() int { return s.size }
 
 // Stride returns the spacing between retained keys.
 func (s *Online) Stride() int { return s.stride }
@@ -77,10 +95,10 @@ func (s *Online) Stride() int { return s.stride }
 func (s *Online) EstimateRank(key []uint32) int {
 	// Samples are at stream positions 0, stride, 2*stride, ...; count
 	// how many retained keys are <= key with binary search.
-	lo, hi := 0, len(s.keys)
+	lo, hi := 0, s.size
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if leqPrefix(s.keys[mid], key) {
+		if leqPrefix(s.key(mid), key) {
 			lo = mid + 1
 		} else {
 			hi = mid

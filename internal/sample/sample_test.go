@@ -95,6 +95,94 @@ func TestAddTable(t *testing.T) {
 	}
 }
 
+// refOnline is the per-key layout Online replaced: one slice per
+// retained key. Online must estimate exactly as it does.
+type refOnline struct {
+	capacity, stride, n int
+	keys                [][]uint32
+}
+
+func (s *refOnline) add(key []uint32) {
+	if s.n%s.stride == 0 {
+		s.keys = append(s.keys, append([]uint32(nil), key...))
+		if len(s.keys) == s.capacity {
+			half := s.keys[: 0 : len(s.keys)/2]
+			for i := 0; i < len(s.keys); i += 2 {
+				half = append(half, s.keys[i])
+			}
+			s.keys = half
+			s.stride *= 2
+		}
+	}
+	s.n++
+}
+
+func (s *refOnline) rank(key []uint32) int {
+	lo, hi := 0, len(s.keys)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if leqPrefix(s.keys[mid], key) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return min(lo*s.stride, s.n)
+}
+
+func TestFlatLayoutMatchesPerKeyLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range []struct{ capacity, width, n int }{
+		{8, 3, 1000},   // many halvings
+		{9, 2, 500},    // odd capacity
+		{400, 4, 5000}, // the paper's a = 100p at p = 4
+		{5, 0, 40},     // zero-column keys (the empty view)
+		{100, 2, 60},   // never fills
+	} {
+		tb := record.New(c.width, c.n)
+		row := make([]uint32, c.width)
+		for i := 0; i < c.n; i++ {
+			for j := range row {
+				row[j] = uint32(rng.Intn(6))
+			}
+			tb.Append(row, 1)
+		}
+		tb.Sort()
+		s, ref := NewOnline(c.capacity), &refOnline{capacity: c.capacity, stride: 1}
+		for i := 0; i < c.n; i++ {
+			s.Add(tb.Row(i))
+			ref.add(tb.Row(i))
+			if s.Size() != len(ref.keys) || s.Stride() != ref.stride {
+				t.Fatalf("%+v after %d keys: size %d stride %d, per-key layout %d, %d",
+					c, i+1, s.Size(), s.Stride(), len(ref.keys), ref.stride)
+			}
+		}
+		if c.n > c.capacity && s.Stride() < 4 {
+			t.Fatalf("%+v: stride %d, want several halvings", c, s.Stride())
+		}
+		for k := 0; k < 200; k++ {
+			probe := make([]uint32, rng.Intn(c.width+1))
+			for j := range probe {
+				probe[j] = uint32(rng.Intn(7))
+			}
+			if got, want := s.EstimateRank(probe), ref.rank(probe); got != want {
+				t.Fatalf("%+v: EstimateRank(%v) = %d, per-key layout %d", c, probe, got, want)
+			}
+		}
+	}
+}
+
+func TestAddPanicsOnWidthChange(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a key of another width")
+		}
+	}()
+	s := NewOnline(10)
+	s.Add([]uint32{1, 2})
+	s.Add([]uint32{3})
+}
+
 func TestNewOnlineValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -102,6 +102,8 @@ func sortImpl(p *cluster.Proc, file string, gamma float64, presorted bool, agg r
 	global = cluster.Broadcast(p, 0, global, keyBytes(cols)*len(global))
 
 	// Step 3: partition the locally sorted data by the global pivots.
+	// Partitions are read-only windows of local, which nothing mutates
+	// before the merge below writes a fresh table.
 	out := make([]*record.Table, np)
 	if len(global) == 0 {
 		// Degenerate: no data anywhere (or p == 1); keep rows local.
@@ -121,7 +123,7 @@ func sortImpl(p *cluster.Proc, file string, gamma float64, presorted bool, agg r
 			if hi < lo {
 				hi = lo
 			}
-			out[k] = local.Sub(lo, hi)
+			out[k] = local.Window(lo, hi)
 		}
 	}
 
@@ -189,12 +191,18 @@ func globalShift(p *cluster.Proc, local *record.Table, sizes []int) *record.Tabl
 		if hi < lo {
 			hi = lo
 		}
-		out[k] = local.Sub(lo, hi)
+		out[k] = local.Window(lo, hi)
 	}
 	in := cluster.AllToAllTables(p, out)
 	// Received segments are contiguous global ranges ordered by source
 	// rank; concatenation preserves the global order.
-	merged := record.New(local.D, 0)
+	total := 0
+	for _, t := range in {
+		if t != nil {
+			total += t.Len()
+		}
+	}
+	merged := record.New(local.D, total)
 	for _, t := range in {
 		if t != nil {
 			merged.AppendTable(t)

@@ -926,12 +926,10 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestSaveFootprint: on the full d=8 cube of 36k rows on 4 processors
-// (the build-full-d8 benchmark's shape; 20k rows with -short), Save
-// streams sealed slices without materializing rows. It allocates at
-// most an eighth of the snapshot it writes, and the live heap after it
-// is within 10% of the live heap after Build.
-func TestSaveFootprint(t *testing.T) {
+// paperD8Input returns the build-full-d8 shape: d=8 with the paper's
+// cardinalities, 36k rows (20k with -short).
+func paperD8Input(t *testing.T) (*Input, int) {
+	t.Helper()
 	n := 36_000
 	if testing.Short() {
 		n = 20_000
@@ -953,6 +951,44 @@ func TestSaveFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return in, n
+}
+
+// TestBuildAllocBudget bounds what Build allocates per input row on the
+// build-full-d8 shape, where the output is ~180x the input: each view's
+// rows should be allocated about once, not regrown or copied between
+// layers.
+func TestBuildAllocBudget(t *testing.T) {
+	// Measured 12.9 KB per input row (13.7 KB with -short; up to 15.1 KB
+	// under -race, whose sync.Pool drops some sort scratch), plus 15 %
+	// headroom. Before Pipesort sized its outputs and the exchanges
+	// stopped copying key ranges it was ~42 KB.
+	const budget = 17_400
+	in, n := paperD8Input(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	cube, err := Build(in, Options{Processors: 4})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := float64(after.TotalAlloc - before.TotalAlloc)
+	out := cube.Metrics().OutputRows
+	t.Logf("Build allocated %.0f B per input row, %.1f B per output row (%d rows in, %d out), %d mallocs",
+		alloc/float64(n), alloc/float64(out), n, out, after.Mallocs-before.Mallocs)
+	if alloc/float64(n) > budget {
+		t.Errorf("Build allocated %.0f B per input row, budget %d", alloc/float64(n), budget)
+	}
+}
+
+// TestSaveFootprint: on the full d=8 cube of 36k rows on 4 processors
+// (the build-full-d8 benchmark's shape; 20k rows with -short), Save
+// streams sealed slices without materializing rows. It allocates at
+// most an eighth of the snapshot it writes, and the live heap after it
+// is within 10% of the live heap after Build.
+func TestSaveFootprint(t *testing.T) {
+	in, _ := paperD8Input(t)
 	cube, err := Build(in, Options{Processors: 4})
 	if err != nil {
 		t.Fatal(err)
