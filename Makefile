@@ -1,10 +1,13 @@
 # `make tier1` and `make smoke` are what CI runs (see ROADMAP.md).
 # tier1 is gofmt + build + vet + the full test suite, plus the race detector on
 # the packages that execute real goroutines (the cluster's SPMD
-# supersteps, samplesort's collective exchanges, core's crash-recovery
-# restarts, mergepart's collective merge, the query engine's concurrent
-# serving path, the root package's Server front end) and on the
-# packages whose tests run in parallel (record, extsort, colstore).
+# supersteps and ledger commits, samplesort's collective exchanges,
+# core's crash-recovery restarts, mergepart's collective merge, the query
+# engine's shared execute — concurrent queries scanning rank slices on
+# plain goroutines, racing to build prefix indexes and committing ledgers
+# — and the root package's Cube/Server queries racing ingest and the
+# advisor) and on the packages whose tests run in parallel (record,
+# extsort, colstore).
 
 GO ?= go
 

@@ -21,6 +21,10 @@
 // bulk h-relations are posted and the processor continues: the charge
 // runs concurrently with subsequent local CPU/disk work and the
 // unmasked remainder is settled at the next barrier.
+//
+// An operation may also run off the machine and bill it afterwards: it
+// records its charges in a Ledger, and Machine.Commit replays them as
+// Run and Gather would have charged them.
 package cluster
 
 import (
@@ -58,6 +62,9 @@ type Machine struct {
 
 	mu    sync.Mutex
 	stats Stats
+
+	// commitMu serializes ledger commits (Commit).
+	commitMu sync.Mutex
 }
 
 // Stats aggregates communication over a run.
@@ -290,12 +297,22 @@ func (p *Proc) superstep(post func(), read func() int, sent, msgs int, overlappa
 			tmax = t
 		}
 	}
-	recv := read()
+	p.step(tmax, sent, read(), msgs, overlappable)
+
+	// Second barrier: nobody may start posting the next superstep until
+	// everyone has read this one.
+	m.bar.wait()
+}
+
+// step charges this processor's share of a superstep once every clock
+// has posted its arrival time: wait for the slowest (tmax), pay the
+// h-relation max(sent, recv) over msgs messages — on the overlap lane
+// for an overlappable exchange in overlapped mode — and account the
+// bytes sent. Rank 0 counts the superstep. superstep and Commit both
+// charge through it, so a replayed collective costs what a run one did.
+func (p *Proc) step(tmax float64, sent, recv, msgs int, overlappable bool) {
 	p.clock.AdvanceTo(tmax)
-	h := sent
-	if recv > h {
-		h = recv
-	}
+	h := max(sent, recv)
 	if overlappable && p.overlap {
 		p.clock.AddCommOverlap(h, msgs)
 	} else {
@@ -303,14 +320,10 @@ func (p *Proc) superstep(post func(), read func() int, sent, msgs int, overlappa
 	}
 	p.account(int64(sent), int64(msgs))
 	if p.rank == 0 {
-		m.mu.Lock()
-		m.stats.Supersteps++
-		m.mu.Unlock()
+		p.m.mu.Lock()
+		p.m.stats.Supersteps++
+		p.m.mu.Unlock()
 	}
-
-	// Second barrier: nobody may start posting the next superstep until
-	// everyone has read this one.
-	m.bar.wait()
 }
 
 // Barrier synchronizes all processors and their clocks without moving
@@ -359,11 +372,7 @@ func Broadcast[T any](p *Proc, root int, val T, bytes int) T {
 func Gather[T any](p *Proc, root int, val T, bytes int) []T {
 	m := p.m
 	var out []T
-	sent, msgs := 0, 0
-	if p.rank != root && bytes > 0 {
-		sent = bytes
-		msgs = 1
-	}
+	sent, msgs := gatherSent(p.rank, root, bytes)
 	p.superstep(
 		func() { m.slot[p.rank] = slotMsg{val: val, bytes: bytes} },
 		func() int {
@@ -384,6 +393,15 @@ func Gather[T any](p *Proc, root int, val T, bytes int) []T {
 		sent, msgs, false,
 	)
 	return out
+}
+
+// gatherSent is one processor's outgoing share of a Gather at root: a
+// non-root sends its payload as one message, the root sends nothing.
+func gatherSent(rank, root, bytes int) (sent, msgs int) {
+	if rank != root && bytes > 0 {
+		return bytes, 1
+	}
+	return 0, 0
 }
 
 // AllGather collects one value from every processor at every

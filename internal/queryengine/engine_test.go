@@ -253,3 +253,55 @@ func TestExecuteConcurrentCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRacingQueriesBuildIndexOnce races eight identical indexed queries
+// to a cold prefix index, round after round (each round drops the
+// view's indexes first). Each (view, rank) index must be built once per
+// round and paid for once: every disk's reads and the machine's
+// counters must equal those of the same queries run one after another
+// on an identical machine, where only the first of a round builds it.
+func TestRacingQueriesBuildIndexOnce(t *testing.T) {
+	const clients, rounds = 8, 100
+	run := func(concurrent bool) string {
+		m, met, _ := buildTestCube(t, 1500, 3, 3, []int{10, 6, 4})
+		e := New(m, met.ViewOrders, met.ViewRows, record.OpSum)
+		q, err := e.NewQuery([]int{1}, map[int][2]uint32{0: {3, 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec := func() {
+			if _, met, err := e.Execute(q); err != nil || !met.IndexUsed {
+				t.Errorf("indexed query: %v (index used: %v)", err, met.IndexUsed)
+			}
+		}
+		before := m.Stats()
+		for round := 0; round < rounds; round++ {
+			e.InvalidateView(q.View, e.Rows(q.View))
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				if !concurrent {
+					exec()
+					continue
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					exec()
+				}()
+			}
+			close(start)
+			wg.Wait()
+		}
+		after := m.Stats()
+		out := fmt.Sprint(after.BytesMoved-before.BytesMoved, after.Messages-before.Messages, after.Supersteps-before.Supersteps)
+		for r := 0; r < m.P(); r++ {
+			out += fmt.Sprintf(" %+v", m.Proc(r).Disk().Stats())
+		}
+		return out
+	}
+	if seq, par := run(false), run(true); par != seq {
+		t.Fatalf("racing queries charged %s, sequential %s", par, seq)
+	}
+}

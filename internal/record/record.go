@@ -63,6 +63,16 @@ func New(d, capRows int) *Table {
 	}
 }
 
+// Alloc returns a table of n zero rows with d dimension columns, with
+// its row-major dimension values and its measures for a decoder to fill
+// in place: value (i, j) is dims[i*d+j], measure i is meas[i].
+func Alloc(d, n int) (t *Table, dims []uint32, meas []int64) {
+	t = New(d, n)
+	t.dims = t.dims[:n*d]
+	t.meas = t.meas[:n]
+	return t, t.dims, t.meas
+}
+
 // FromRows builds a table from explicit rows; each row must have d
 // dimension values. Measures are set to meas[i] if provided, else 1.
 // Intended for tests and examples.

@@ -146,21 +146,21 @@ func (d *Disk) GetSlice(name string) (*colstore.Slice, bool) {
 	return s, true
 }
 
-// GetForIndex returns the columnar image of a sealed file charging
-// only a read of its leading column — the prefix-index build path,
-// which needs the sort-prefix run directory but no other columns.
-// Returns false if the file is absent or row-oriented.
-func (d *Disk) GetForIndex(name string) (*colstore.Slice, bool) {
+// ReadLeading returns the columnar image of a sealed file and the
+// bytes reading only its leading column costs, without charging — the
+// prefix-index build path, which needs the sort-prefix run directory
+// but no other columns. Returns false if the file is absent or
+// row-oriented.
+func (d *Disk) ReadLeading(name string) (*colstore.Slice, int, bool) {
 	f, ok := d.files[name]
 	if !ok {
-		return nil, false
+		return nil, 0, false
 	}
 	s := f.slice()
 	if s == nil {
-		return nil, false
+		return nil, 0, false
 	}
-	d.chargeRead(colstore.SliceHeaderBytes + s.ColumnBytes(0))
-	return s, true
+	return s, colstore.SliceHeaderBytes + s.ColumnBytes(0), true
 }
 
 // Append appends the rows of t to the named file, creating it if
@@ -220,13 +220,46 @@ func (d *Disk) MustTake(name string) *record.Table {
 // must not mutate the returned table; sealed files hand out a shared
 // cached decode.
 func (d *Disk) Get(name string) (*record.Table, bool) {
+	t, bytes, ok := d.Read(name)
+	if ok {
+		d.chargeRead(bytes)
+	}
+	return t, ok
+}
+
+// Read is Get without the charge: it returns the shared table and the
+// bytes Get would charge for it. It is the read of an operation that
+// bills a ledger instead of the disk (ChargeRead replays the charge
+// later), so it touches neither the clock nor Stats and may run
+// concurrently with other reads.
+func (d *Disk) Read(name string) (*record.Table, int, bool) {
 	f, ok := d.files[name]
 	if !ok {
-		return nil, false
+		return nil, 0, false
 	}
-	d.chargeRead(f.st.Bytes())
-	return f.st.Table(), true
+	return f.st.Table(), f.st.Bytes(), true
 }
+
+// ReadWindow returns a read-only Window of rows [lo,hi) of the named
+// file's shared table and the bytes reading just those rows costs
+// (RangeBytes on a sealed file, row bytes otherwise), without charging.
+// A sealed file is decoded once, into the shared cache, however many
+// windows are read from it; an empty window decodes nothing.
+func (d *Disk) ReadWindow(name string, lo, hi int) (*record.Table, int) {
+	f := d.rangeFile(name, lo, hi)
+	if s := f.slice(); s != nil {
+		if lo == hi {
+			return record.New(s.D(), 0), 0
+		}
+		return s.Table().Window(lo, hi), s.RangeBytes(lo, hi)
+	}
+	return f.st.Table().Window(lo, hi), (hi - lo) * record.RowBytes(f.st.D())
+}
+
+// ChargeRead charges a read of bytes to the disk's clock and Stats,
+// exactly as Get, ReadRange or a leading-column read would have: the
+// replay of a read made through Read, ReadWindow or ReadLeading.
+func (d *Disk) ChargeRead(bytes int) { d.chargeRead(bytes) }
 
 // Peek returns shared read-only access to the named file without
 // charging the clock. It is host-side introspection for post-run
@@ -254,6 +287,18 @@ func (d *Disk) MustGet(name string) *record.Table {
 // a read of just those rows (one access plus their bytes). It is the
 // block-granular read primitive used by the external sort.
 func (d *Disk) ReadRange(name string, lo, hi int) *record.Table {
+	f := d.rangeFile(name, lo, hi)
+	if s := f.slice(); s != nil {
+		d.chargeRead(s.RangeBytes(lo, hi))
+		return s.DecodeRange(lo, hi)
+	}
+	d.chargeRead((hi - lo) * record.RowBytes(f.st.D()))
+	return f.st.Table().Sub(lo, hi)
+}
+
+// rangeFile returns the named file, panicking if it is absent or
+// [lo,hi) is not a row range of it.
+func (d *Disk) rangeFile(name string, lo, hi int) *file {
 	f, ok := d.files[name]
 	if !ok {
 		panic(fmt.Sprintf("simdisk: file %q does not exist", name))
@@ -261,12 +306,7 @@ func (d *Disk) ReadRange(name string, lo, hi int) *record.Table {
 	if lo < 0 || hi > f.st.Len() || lo > hi {
 		panic(fmt.Sprintf("simdisk: range [%d,%d) out of bounds for %q (%d rows)", lo, hi, name, f.st.Len()))
 	}
-	if s := f.slice(); s != nil {
-		d.chargeRead(s.RangeBytes(lo, hi))
-		return s.DecodeRange(lo, hi)
-	}
-	d.chargeRead((hi - lo) * record.RowBytes(f.st.D()))
-	return f.st.Table().Sub(lo, hi)
+	return f
 }
 
 // Has reports whether the named file exists.

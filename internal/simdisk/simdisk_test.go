@@ -331,13 +331,15 @@ func TestSealedReadsChargeCompressedBytes(t *testing.T) {
 		t.Fatal("GetSlice broken on sealed file")
 	}
 	before = d.Stats()
-	if _, ok := d.GetForIndex("f"); !ok {
-		t.Fatal("GetForIndex failed on sealed file")
+	_, idx, ok := d.ReadLeading("f")
+	if !ok {
+		t.Fatal("ReadLeading failed on sealed file")
 	}
-	st = d.Stats()
-	idx := st.BytesRead - before.BytesRead
-	if idx <= 0 || idx >= int64(cb) {
-		t.Fatalf("GetForIndex charged %d bytes, want in (0,%d)", idx, cb)
+	if d.Stats() != before {
+		t.Fatal("ReadLeading charged the disk")
+	}
+	if idx <= 0 || idx >= cb {
+		t.Fatalf("ReadLeading costs %d bytes, want in (0,%d)", idx, cb)
 	}
 	before = d.Stats()
 	sub := d.ReadRange("f", 10, 20)
@@ -357,8 +359,8 @@ func TestGetSliceOnRowFile(t *testing.T) {
 	if _, ok := d.GetSlice("f"); ok {
 		t.Fatal("GetSlice succeeded on row file")
 	}
-	if _, ok := d.GetForIndex("f"); ok {
-		t.Fatal("GetForIndex succeeded on row file")
+	if _, _, ok := d.ReadLeading("f"); ok {
+		t.Fatal("ReadLeading succeeded on row file")
 	}
 	if _, ok := d.GetSlice("missing"); ok {
 		t.Fatal("GetSlice succeeded on missing file")
@@ -432,5 +434,56 @@ func TestSealIdempotent(t *testing.T) {
 	}
 	if d.Stats() != before {
 		t.Fatal("second Seal charged I/O")
+	}
+}
+
+// TestReadWindowCostsWhatReadRangeCharges: the uncharged readers report
+// exactly what the charged ones bill, return the same rows, and a
+// sealed file is decoded into its shared cache once for any number of
+// windows.
+func TestReadWindowCostsWhatReadRangeCharges(t *testing.T) {
+	for _, sealed := range []bool{false, true} {
+		d := newDisk()
+		d.Put("f", sortedTable(500))
+		if sealed {
+			d.Seal("f")
+		}
+		for _, r := range [][2]int{{0, 500}, {10, 20}, {250, 251}, {499, 500}, {7, 7}} {
+			before := d.Stats()
+			win, cost := d.ReadWindow("f", r[0], r[1])
+			if d.Stats() != before {
+				t.Fatal("ReadWindow charged the disk")
+			}
+			want := d.ReadRange("f", r[0], r[1])
+			if got := d.Stats().BytesRead - before.BytesRead; got != int64(cost) {
+				t.Fatalf("sealed=%v %v: ReadWindow costs %d, ReadRange charged %d", sealed, r, cost, got)
+			}
+			if !record.Equal(win, want) {
+				t.Fatalf("sealed=%v %v: window rows differ from ReadRange", sealed, r)
+			}
+		}
+		if sealed {
+			decoded := d.DecodedBytes()
+			for i := 0; i < 10; i++ {
+				d.ReadWindow("f", i, i+100)
+			}
+			if decoded != int64(d.MustGet("f").Bytes()) || d.DecodedBytes() != decoded {
+				t.Fatalf("windows decoded %d then %d bytes, want the file's %d once", decoded, d.DecodedBytes(), d.MustGet("f").Bytes())
+			}
+		}
+
+		before := d.Stats()
+		tb, cost, ok := d.Read("f")
+		if !ok || d.Stats() != before {
+			t.Fatal("Read failed or charged the disk")
+		}
+		d.ChargeRead(cost)
+		replayed := d.Stats()
+		if got := d.MustGet("f"); got != tb {
+			t.Fatal("Read and Get hand out different tables")
+		}
+		if d.Stats().BytesRead-replayed.BytesRead != replayed.BytesRead-before.BytesRead || replayed.Reads != before.Reads+1 {
+			t.Fatal("ChargeRead of Read's cost differs from Get's charge")
+		}
 	}
 }

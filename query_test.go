@@ -1,8 +1,11 @@
 package rolap
 
 import (
+	"context"
 	"math/rand"
 	"testing"
+
+	"repro/internal/record"
 )
 
 func TestGroupByWithFilters(t *testing.T) {
@@ -189,5 +192,45 @@ func TestRollUpDrillDownConsistency(t *testing.T) {
 		if rollup[key[0]] != m {
 			t.Fatalf("store %d rollup %d != view %d", key[0], rollup[key[0]], m)
 		}
+	}
+}
+
+// TestIndexedQueriesDecodeOnce: an index-narrowed query reads a window
+// of its slice's shared decode, so repeated indexed queries decode each
+// slice at most once — the cube's decoded bytes stop at the source
+// view's row-form size and do not grow with further queries.
+func TestIndexedQueriesDecodeOnce(t *testing.T) {
+	rows, meas := randomFacts(3000, 5)
+	cube := buildFromFacts(t, rows, meas, Options{Processors: 3})
+	if got := cube.DecodedBytes(); got != 0 {
+		t.Fatalf("decoded bytes after Build = %d, want 0", got)
+	}
+	ask := func(store uint32) {
+		t.Helper()
+		_, qm, err := cube.Do(context.Background(), Query{
+			Group:  []string{"month", "channel"},
+			Bounds: []Bound{{Dim: "store", Lo: store, Hi: store}},
+		})
+		if err != nil || !qm.IndexUsed {
+			t.Fatalf("store %d: %v (index used: %v)", store, err, qm.IndexUsed)
+		}
+	}
+	ask(0)
+	first := cube.DecodedBytes()
+	src, err := cube.lookup([]string{"month", "channel", "store"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	viewBytes := int64(cube.viewRowCount(src)) * int64(record.RowBytes(3))
+	if first <= 0 || first > viewBytes {
+		t.Fatalf("decoded bytes after one indexed query = %d, want in (0, %d]", first, viewBytes)
+	}
+	for k := 0; k < 3; k++ {
+		for store := uint32(0); store < 40; store++ {
+			ask(store)
+		}
+	}
+	if got := cube.DecodedBytes(); got != viewBytes {
+		t.Fatalf("decoded bytes after 121 indexed queries = %d, want the source view's %d once", got, viewBytes)
 	}
 }

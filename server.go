@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,8 +46,8 @@ type QueryMetrics struct {
 // ServerOptions configures a query server.
 type ServerOptions struct {
 	// Workers bounds the number of queries admitted concurrently
-	// (default 4). Admitted queries still serialize on the simulated
-	// machine; the bound is admission control, not parallel execution.
+	// (default 4). Admitted queries execute in parallel on the host,
+	// each billing the simulated machine through its own ledger.
 	Workers int
 	// QueueDepth bounds how many queries may wait for a worker slot
 	// beyond the admitted ones (default 4×Workers). Arrivals beyond
@@ -226,7 +227,7 @@ type Server struct {
 	queueFull     atomic.Int64
 	queueDeadline atomic.Int64
 	replans       atomic.Int64
-	simMicros     atomic.Int64 // SimSeconds accumulated in microseconds
+	simNanos      atomic.Int64 // SimSeconds accumulated in rounded nanoseconds
 	rowsTotal     atomic.Int64
 	wallMicros    atomic.Int64 // wall time of completed executions
 	wallCount     atomic.Int64
@@ -476,7 +477,10 @@ func (s *Server) execute(ctx context.Context, key string, q queryengine.Query) (
 		s.cache.Put(key, c)
 	}
 	s.queries.Add(1)
-	s.simMicros.Add(int64(em.SimSeconds * 1e6))
+	// Whole rounded nanoseconds per query: the total is then an exact
+	// integer sum, the same in any commit order, and within 0.5 ns per
+	// query of the per-query SimSeconds it adds up.
+	s.simNanos.Add(int64(math.Round(em.SimSeconds * 1e9)))
 	s.rowsTotal.Add(em.RowsScanned)
 	return c, s.cube.queryMetrics(em), nil
 }
@@ -581,7 +585,7 @@ func (s *Server) Stats() ServerStats {
 		StaleWidened:         s.staleWidened.Load(),
 		QueueFullRejects:     s.queueFull.Load(),
 		QueueDeadlineRejects: s.queueDeadline.Load(),
-		SimSeconds:           float64(s.simMicros.Load()) / 1e6,
+		SimSeconds:           float64(s.simNanos.Load()) / 1e9,
 		RowsScanned:          s.rowsTotal.Load(),
 	}
 }

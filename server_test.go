@@ -3,6 +3,8 @@ package rolap
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -303,5 +305,29 @@ func TestServerCacheVersionUnderConcurrentIngest(t *testing.T) {
 	got, _, err := s.Aggregate(ctx, nil, nil)
 	if err != nil || got != total {
 		t.Fatalf("final total %d (%v), want %d", got, err, total)
+	}
+}
+
+// TestServerSimSecondsSumsQueries: the server's SimSeconds total is the
+// sum of the per-query SimSeconds it reported, to within a nanosecond
+// per query, whatever the charges' sub-microsecond parts.
+func TestServerSimSecondsSumsQueries(t *testing.T) {
+	cube, _ := buildServedCube(t, 1500, 3)
+	s, err := cube.NewServer(ServerOptions{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	var sum float64
+	const n = 300
+	for i := 0; i < n; i++ {
+		_, qm, err := s.Do(context.Background(), randomQuery(rng, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += qm.SimSeconds
+	}
+	if got := s.Stats().SimSeconds; math.Abs(got-sum) > n*1e-9 {
+		t.Fatalf("ServerStats.SimSeconds = %.12f, per-query sum %.12f (off by %.3g s over %d queries)", got, sum, got-sum, n)
 	}
 }
