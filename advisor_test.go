@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -287,18 +288,23 @@ func TestAdvisorRetiresColdViews(t *testing.T) {
 }
 
 // TestAdvisorConvergesAndAnswersMatchOracle drives a Zipf-skewed query
-// mix against an adapting minimal cube and a static full cube, checking
-// every answer agrees while the advisor grows a small working set.
+// mix against an adapting minimal cube, a static minimal cube and a
+// static full cube, checking every answer agrees while the advisor
+// grows a small working set. On the simulated clock, the last window's
+// p50 must beat the static-minimal cube's and come within 1.25x of the
+// full cube's; the "budget" case does so holding at most 35% of the
+// lattice's 16 views.
 func TestAdvisorConvergesAndAnswersMatchOracle(t *testing.T) {
-	in, _ := loadRandom(t, 2500, 3)
-	static, err := Build(in, Options{Processors: 3})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name           string
+		opts           AdvisorOptions
+		steps, perStep int
+		maxViews       int // most views the adapted cube may hold
+	}{
+		// MaxViews 6, plus one view of tolerance for the frontier.
+		{"default", AdvisorOptions{MaxViews: 6, MaterializePerStep: 2, RetirePerStep: 1, Seed: 17}, 6, 30, 7},
+		{"budget", AdvisorOptions{MaxViews: 16 * 35 / 100, MinFallbacks: 2, MaterializePerStep: 2, RetirePerStep: 1, Seed: 42}, 8, 25, 16 * 35 / 100},
 	}
-	cube, adv, _ := buildMinimal(t, 2500, 3, AdvisorOptions{
-		MaxViews: 6, MaterializePerStep: 2, RetirePerStep: 1, Seed: 17,
-	})
-
 	// A skewed pool: two hot shapes dominate, tail shapes appear rarely.
 	pool := [][]string{
 		{"store"},
@@ -308,49 +314,80 @@ func TestAdvisorConvergesAndAnswersMatchOracle(t *testing.T) {
 		{"month"},
 		{"channel"},
 	}
-	rng := rand.New(rand.NewSource(99))
-	for step := 0; step < 6; step++ {
-		for q := 0; q < 30; q++ {
-			// Zipf-ish pick: shape k with weight ~1/2^k.
-			k := 0
-			for k < len(pool)-1 && rng.Intn(2) == 0 {
-				k++
-			}
-			dims := pool[k]
-			got, err := cube.GroupBy(dims, nil)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in, _ := loadRandom(t, 2500, 3)
+			full, err := Build(in, Options{Processors: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := static.GroupBy(dims, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Len() != want.Len() {
-				t.Fatalf("step %d: %v rows %d vs static %d", step, dims, got.Len(), want.Len())
-			}
-			for i := 0; i < got.Len(); i++ {
-				gk, gm := got.Row(i)
-				wk, wm := want.Row(i)
-				if gm != wm || !reflect.DeepEqual(gk, wk) {
-					t.Fatalf("step %d: %v row %d: (%v,%d) vs static (%v,%d)", step, dims, i, gk, gm, wk, wm)
+			static, _, _ := buildMinimal(t, 2500, 3, AdvisorOptions{})
+			cube, adv, _ := buildMinimal(t, 2500, 3, tc.opts)
+			groupBy := func(c *Cube, dims []string) (*View, float64) {
+				vw, qm, err := c.Do(context.Background(), Query{Group: dims})
+				if err != nil {
+					t.Fatal(err)
 				}
+				return vw, qm.SimSeconds
 			}
-		}
-		if _, err := adv.Step(); err != nil {
-			t.Fatal(err)
-		}
-		checkSealed(t, cube, fmt.Sprintf("step %d", step))
-	}
-	st := adv.Stats()
-	if st.Materialized == 0 {
-		t.Fatalf("advisor never materialized under sustained fallbacks: %+v", st)
-	}
-	if got := len(cube.Views()); got > 7 { // MaxViews 6 + tolerance for frontier
-		t.Fatalf("advisor grew %d views, cap was 6", got)
-	}
-	// The hot shapes ended up materialized.
-	if !viewLive(cube, []string{"store"}) {
-		t.Fatal("hottest shape {store} not materialized after convergence")
+
+			rng := rand.New(rand.NewSource(99))
+			var fullLat, staticLat, window []float64
+			for step := 0; step < tc.steps; step++ {
+				window = window[:0]
+				for q := 0; q < tc.perStep; q++ {
+					// Zipf-ish pick: shape k with weight ~1/2^k.
+					k := 0
+					for k < len(pool)-1 && rng.Intn(2) == 0 {
+						k++
+					}
+					dims := pool[k]
+					want, fl := groupBy(full, dims)
+					fixed, sl := groupBy(static, dims)
+					adapted, al := groupBy(cube, dims)
+					fullLat, staticLat, window = append(fullLat, fl), append(staticLat, sl), append(window, al)
+					for _, got := range []*View{fixed, adapted} {
+						if got.Len() != want.Len() {
+							t.Fatalf("step %d: %v rows %d vs full %d", step, dims, got.Len(), want.Len())
+						}
+						for i := 0; i < got.Len(); i++ {
+							gk, gm := got.Row(i)
+							wk, wm := want.Row(i)
+							if gm != wm || !reflect.DeepEqual(gk, wk) {
+								t.Fatalf("step %d: %v row %d: (%v,%d) vs full (%v,%d)", step, dims, i, gk, gm, wk, wm)
+							}
+						}
+					}
+				}
+				if _, err := adv.Step(); err != nil {
+					t.Fatal(err)
+				}
+				checkSealed(t, cube, fmt.Sprintf("step %d", step))
+			}
+			st := adv.Stats()
+			if st.Materialized == 0 {
+				t.Fatalf("advisor never materialized under sustained fallbacks: %+v", st)
+			}
+			if got := len(cube.Views()); got > tc.maxViews {
+				t.Fatalf("advisor grew %d views, cap was %d", got, tc.maxViews)
+			}
+			// The hot shapes ended up materialized.
+			if !viewLive(cube, []string{"store"}) {
+				t.Fatal("hottest shape {store} not materialized after convergence")
+			}
+			p50 := func(lat []float64) float64 {
+				s := append([]float64(nil), lat...)
+				sort.Float64s(s)
+				return s[(len(s)-1)/2]
+			}
+			last, fullP50, staticP50 := p50(window), p50(fullLat), p50(staticLat)
+			if last >= staticP50 {
+				t.Fatalf("last-window p50 %.3gs does not beat static-minimal %.3gs", last, staticP50)
+			}
+			if last > 1.25*fullP50 {
+				t.Fatalf("last-window p50 %.3gs is %.2fx the full cube's %.3gs, cap 1.25x", last, last/fullP50, fullP50)
+			}
+		})
 	}
 }
 

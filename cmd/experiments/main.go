@@ -13,20 +13,46 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
 )
 
+// figures lists every -fig name in the order -fig all prints them.
+var figures = []struct {
+	name string
+	run  func(experiments.Scale, io.Writer)
+}{
+	{"5", func(sc experiments.Scale, w io.Writer) { experiments.Fig5(sc).Print(w) }},
+	{"6", func(sc experiments.Scale, w io.Writer) { experiments.Fig6(sc).Print(w) }},
+	{"7", func(sc experiments.Scale, w io.Writer) { experiments.Fig7(sc).Print(w) }},
+	{"8", func(sc experiments.Scale, w io.Writer) { experiments.Fig8(sc).Print(w) }},
+	{"9", func(sc experiments.Scale, w io.Writer) { experiments.Fig9(sc).Print(w) }},
+	{"10", func(sc experiments.Scale, w io.Writer) { experiments.Fig10(sc).Print(w) }},
+	{"11", func(sc experiments.Scale, w io.Writer) { experiments.Fig11(sc).Print(w) }},
+	{"headline", func(sc experiments.Scale, w io.Writer) { experiments.Headline(sc).Print(w) }},
+	{"overlap", func(sc experiments.Scale, w io.Writer) { experiments.Overlap(sc).Print(w) }},
+	{"baseline", func(sc experiments.Scale, w io.Writer) { experiments.Baseline(sc).Print(w) }},
+	{"faults", func(sc experiments.Scale, w io.Writer) { experiments.Faults(sc).Print(w) }},
+	{"serve", func(sc experiments.Scale, w io.Writer) { experiments.Serve(sc).Print(w) }},
+	{"ingest", func(sc experiments.Scale, w io.Writer) { experiments.Ingest(sc).Print(w) }},
+}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to run: all, 5, 6, 7, 8, 9, 10, 11, headline, overlap, baseline, faults, serve, ingest")
+	fig := flag.String("fig", "all", "figure to run: all, "+strings.Join(figureNames(), ", "))
 	scaleFlag := flag.String("scale", "default", "workload scale: default, paper, or a multiplier like 4")
 	procsFlag := flag.String("procs", "", "comma-separated processor sweep (default 1,2,4,8,16)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	flag.Parse()
 
+	if err := parseFig(*fig); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	sc, err := parseScale(*scaleFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -44,25 +70,28 @@ func main() {
 	}
 
 	w := os.Stdout
-	run := func(name string, f func()) {
-		if *fig == "all" || *fig == name {
-			f()
+	for _, f := range figures {
+		if *fig == "all" || *fig == f.name {
+			f.run(sc, w)
 			fmt.Fprintln(w)
 		}
 	}
-	run("5", func() { experiments.Fig5(sc).Print(w) })
-	run("6", func() { experiments.Fig6(sc).Print(w) })
-	run("7", func() { experiments.Fig7(sc).Print(w) })
-	run("8", func() { experiments.Fig8(sc).Print(w) })
-	run("9", func() { experiments.Fig9(sc).Print(w) })
-	run("10", func() { experiments.Fig10(sc).Print(w) })
-	run("11", func() { experiments.Fig11(sc).Print(w) })
-	run("headline", func() { experiments.Headline(sc).Print(w) })
-	run("overlap", func() { experiments.Overlap(sc).Print(w) })
-	run("baseline", func() { experiments.Baseline(sc).Print(w) })
-	run("faults", func() { experiments.Faults(sc).Print(w) })
-	run("serve", func() { experiments.Serve(sc).Print(w) })
-	run("ingest", func() { experiments.Ingest(sc).Print(w) })
+}
+
+func figureNames() []string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	return names
+}
+
+// parseFig accepts "all" or one of the figure names.
+func parseFig(s string) error {
+	if s == "all" || slices.Contains(figureNames(), s) {
+		return nil
+	}
+	return fmt.Errorf("experiments: unknown -fig %q (want all, %s)", s, strings.Join(figureNames(), ", "))
 }
 
 func parseScale(s string) (experiments.Scale, error) {

@@ -30,3 +30,16 @@ func TestParseProcs(t *testing.T) {
 		}
 	}
 }
+
+func TestParseFig(t *testing.T) {
+	for _, ok := range []string{"all", "5", "11", "headline", "serve", "ingest"} {
+		if err := parseFig(ok); err != nil {
+			t.Errorf("parseFig(%q): %v", ok, err)
+		}
+	}
+	for _, bad := range []string{"", "bogus", "12", "4", "Headline"} {
+		if err := parseFig(bad); err == nil {
+			t.Errorf("parseFig(%q) should fail", bad)
+		}
+	}
+}

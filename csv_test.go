@@ -276,3 +276,27 @@ func TestLoadCSVDictionaryDeterminism(t *testing.T) {
 		t.Fatalf("product tie-break wrong: %v", vals)
 	}
 }
+
+// FuzzLoadCSV feeds arbitrary bytes to LoadCSV: every failure must be
+// a returned error, never a panic. A small accepted table (at most 4
+// dimensions and 64 rows) is also built at p = 2 and then ingested
+// from the same bytes, which may fail only by returning an error.
+func FuzzLoadCSV(f *testing.F) {
+	f.Add([]byte(salesCSV))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, err := LoadCSV(bytes.NewReader(data), CSVOptions{})
+		if (in == nil) == (err == nil) {
+			t.Fatalf("LoadCSV returned input %v and error %v", in != nil, err)
+		}
+		if in == nil || len(in.Schema().Dimensions) > 4 || in.Len() > 64 {
+			return
+		}
+		cube, err := Build(in, Options{Processors: 2})
+		if (cube == nil) == (err == nil) {
+			t.Fatalf("Build returned cube %v and error %v", cube != nil, err)
+		}
+		if cube != nil {
+			_, _ = cube.IngestCSV(bytes.NewReader(data), CSVOptions{})
+		}
+	})
+}

@@ -3,6 +3,9 @@ package rolap
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"time"
@@ -269,6 +272,60 @@ func TestHolisticBuildValidation(t *testing.T) {
 	cube := buildHolisticCube(t, [][]uint32{{1, 2, 3, 0}}, []int64{5}, Quantile)
 	if _, err := cube.Ingest([][]uint32{{1, 2, 3, 1}}, []int64{-4}); err == nil {
 		t.Fatal("negative measures must be rejected on holistic ingest")
+	}
+}
+
+// TestSketchEstimatesWithinBound checks holistic estimates in the
+// approximate regime, where the tests above (exact by construction)
+// cannot look: distinct counts from far below to far above the
+// sketch's exact threshold (4096), and percentile ranks over
+// heavy-tailed values up to 1e6. Every group of the grand total,
+// {channel} and {month} must come within 5% of the exact oracle.
+func TestSketchEstimatesWithinBound(t *testing.T) {
+	const bound = 0.05
+	rows, _ := holisticFacts(24000, 7)
+	rng := rand.New(rand.NewSource(7))
+	check := func(cube *Cube, meas []int64, agg Aggregate, pct float64) {
+		t.Helper()
+		for _, dims := range [][]string{nil, {"channel"}, {"month"}} {
+			q := Query{Group: dims}
+			what := "distinct count"
+			if agg == Quantile {
+				q.Percentile = &pct
+				what = fmt.Sprintf("p%g", 100*pct)
+			}
+			vw, _, err := cube.Do(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := holisticGroups(rows, meas, dims, nil)
+			for i := 0; i < vw.Len(); i++ {
+				key, got := vw.Row(i)
+				k := ""
+				for _, v := range key {
+					k += string(rune(v)) + ","
+				}
+				want := wantMeasure(agg, oracle[k], pct)
+				if rel := math.Abs(float64(got-want)) / float64(want); rel > bound {
+					t.Errorf("%s of %v group %v: estimate %d, exact %d (rel err %.3f > %.2f)", what, dims, key, got, want, rel, bound)
+				}
+			}
+		}
+	}
+	for _, card := range []int64{1000, 8000, 1 << 40} {
+		meas := make([]int64, len(rows))
+		for i := range meas {
+			meas[i] = rng.Int63n(card)
+		}
+		check(buildHolisticCube(t, rows, meas, CountDistinct), meas, CountDistinct, 0.5)
+	}
+	meas := make([]int64, len(rows))
+	for i := range meas {
+		meas[i] = 1 + int64(math.Exp(rng.Float64()*math.Log(1e6)))
+	}
+	cube := buildHolisticCube(t, rows, meas, Quantile)
+	for _, pct := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
+		check(cube, meas, Quantile, pct)
 	}
 }
 

@@ -11,100 +11,148 @@ import (
 	"repro/internal/record"
 )
 
-// chaosWorkload is a fixed, deterministic query mix over the test
-// schema: a rotation of range aggregates, point lookups, and group-bys.
-// The same workload run against any serving tier over the same facts
-// must produce the same answer transcript.
-func chaosWorkload(t *testing.T, ctx context.Context, rs *ReplicaSet, n int) []string {
+// chaosAnswer runs query k of a fixed, deterministic query mix over
+// the test schema — a rotation of range aggregates, point lookups, and
+// group-bys — and encodes its answer.
+func chaosAnswer(ctx context.Context, rs *ReplicaSet, k int) (string, error) {
+	switch k % 3 {
+	case 0:
+		got, _, err := rs.Aggregate(ctx, []string{"month", "channel"}, []uint32{uint32(k % 12), uint32(k % 3)})
+		return fmt.Sprintf("a%d=%d", k, got), err
+	case 1:
+		got, _, err := rs.RangeAggregate(ctx, []string{"store"}, []uint32{uint32(k % 20)}, []uint32{uint32(k%20) + 10})
+		return fmt.Sprintf("r%d=%d", k, got), err
+	default:
+		vw, _, err := rs.GroupBy(ctx, []string{"month"}, map[string]uint32{"channel": uint32(k % 3)})
+		if err != nil {
+			return "", err
+		}
+		rows := fmt.Sprintf("g%d=", k)
+		for i := 0; i < vw.Len(); i++ {
+			key, m := vw.Row(i)
+			rows += fmt.Sprintf("(%v:%d)", key, m)
+		}
+		return rows, nil
+	}
+}
+
+// chaosWorkload answers queries 0..n-1 of chaosAnswer's mix from
+// `workers` concurrent clients and returns the transcript in query
+// order. The same workload run against any serving tier over the same
+// facts must produce the same transcript; any failed query fails the
+// test (goodput must be 100%).
+func chaosWorkload(t *testing.T, ctx context.Context, rs *ReplicaSet, n, workers int) []string {
 	t.Helper()
-	var answers []string
+	answers := make([]string, n)
+	errs := make([]error, n)
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range next {
+				answers[k], errs[k] = chaosAnswer(ctx, rs, k)
+			}
+		}()
+	}
 	for k := 0; k < n; k++ {
-		switch k % 3 {
-		case 0:
-			got, _, err := rs.Aggregate(ctx, []string{"month", "channel"}, []uint32{uint32(k % 12), uint32(k % 3)})
-			if err != nil {
-				t.Fatalf("query %d (aggregate): %v", k, err)
-			}
-			answers = append(answers, fmt.Sprintf("a%d=%d", k, got))
-		case 1:
-			got, _, err := rs.RangeAggregate(ctx, []string{"store"}, []uint32{uint32(k % 20)}, []uint32{uint32(k%20) + 10})
-			if err != nil {
-				t.Fatalf("query %d (range): %v", k, err)
-			}
-			answers = append(answers, fmt.Sprintf("r%d=%d", k, got))
-		default:
-			vw, _, err := rs.GroupBy(ctx, []string{"month"}, map[string]uint32{"channel": uint32(k % 3)})
-			if err != nil {
-				t.Fatalf("query %d (groupby): %v", k, err)
-			}
-			var rows string
-			for i := 0; i < vw.Len(); i++ {
-				key, m := vw.Row(i)
-				rows += fmt.Sprintf("(%v:%d)", key, m)
-			}
-			answers = append(answers, fmt.Sprintf("g%d=%s", k, rows))
+		next <- k
+	}
+	close(next)
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			t.Fatalf("query %d: %v", k, err)
 		}
 	}
 	return answers
 }
 
 // TestChaosAnswersMatchFaultFreeRun is the determinism acceptance
-// test: the same sequential workload over the same facts, once on a
-// fault-free replica set and once under a serving-time fault plan
-// (crash loop, stragglers, a ship stall), must produce byte-identical
-// answers. Faults move queries around; they never change results.
+// test: the same workload over the same facts, once on a fault-free
+// replica set and once under a serving-time fault plan, must produce
+// byte-identical answers. Faults move queries around; they never
+// change results. The first plan (crash loop, stragglers, a ship
+// stall) runs sequentially on two replicas; the second crash-loops
+// one of four replicas and straggles another under hedging and a
+// breaker that opens on the first failure, with eight concurrent
+// clients.
 func TestChaosAnswersMatchFaultFreeRun(t *testing.T) {
-	const queries = 30
-	run := func(plan *ServeFaultPlan) ([]string, ReplicaSetStats) {
-		rows, meas := randomFacts(600, 997)
-		base := 400
-		leader := buildFromFacts(t, rows[:base], meas[:base], Options{Processors: 2})
-		rs, err := leader.NewReplicaSet(ReplicaOptions{
-			Replicas:    2,
-			ServeFaults: plan,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rs.Close()
-		for lo := base; lo < len(rows); lo += 50 {
-			if _, err := leader.Ingest(rows[lo:lo+50], meas[lo:lo+50]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		if err := rs.WaitCaughtUp(ctx); err != nil {
-			t.Fatal(err)
-		}
-		answers := chaosWorkload(t, ctx, rs, queries)
-		return answers, rs.Stats()
-	}
-
-	clean, _ := run(nil)
-	chaos, st := run(&ServeFaultPlan{
-		Crashes: ServeCrashLoop(1, 3, 5, 2),
-		Stragglers: []ServeStraggler{
-			{Replica: 0, FromQuery: 2, ToQuery: 4, DelaySeconds: 0.02},
+	cases := []struct {
+		name       string
+		replicas   int
+		resilience ResilienceOptions
+		workers    int
+		queries    int
+		plan       *ServeFaultPlan
+	}{
+		{
+			name: "sequential", replicas: 2, workers: 1, queries: 30,
+			plan: &ServeFaultPlan{
+				Crashes: ServeCrashLoop(1, 3, 5, 2),
+				Stragglers: []ServeStraggler{
+					{Replica: 0, FromQuery: 2, ToQuery: 4, DelaySeconds: 0.02},
+				},
+				Stalls: []ShipStall{{Replica: 0, Batch: 2, DelaySeconds: 0.05}},
+			},
 		},
-		Stalls: []ShipStall{{Replica: 0, Batch: 2, DelaySeconds: 0.05}},
-	})
+		{
+			name: "hedged-concurrent", replicas: 4, workers: 8, queries: 240,
+			resilience: ResilienceOptions{Hedge: true, BreakerThreshold: 1, BreakerCooldown: 5 * time.Millisecond},
+			plan: &ServeFaultPlan{
+				Crashes: ServeCrashLoop(1, 2, 3, 20),
+				Stragglers: []ServeStraggler{
+					{Replica: 0, FromQuery: 10, ToQuery: 40, DelaySeconds: 0.005},
+				},
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(plan *ServeFaultPlan) ([]string, ReplicaSetStats) {
+				rows, meas := randomFacts(600, 997)
+				base := 400
+				leader := buildFromFacts(t, rows[:base], meas[:base], Options{Processors: 2})
+				rs, err := leader.NewReplicaSet(ReplicaOptions{
+					Replicas:    tc.replicas,
+					Resilience:  tc.resilience,
+					ServeFaults: plan,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rs.Close()
+				for lo := base; lo < len(rows); lo += 50 {
+					if _, err := leader.Ingest(rows[lo:lo+50], meas[lo:lo+50]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				defer cancel()
+				if err := rs.WaitCaughtUp(ctx); err != nil {
+					t.Fatal(err)
+				}
+				answers := chaosWorkload(t, ctx, rs, tc.queries, tc.workers)
+				return answers, rs.Stats()
+			}
 
-	if len(clean) != len(chaos) {
-		t.Fatalf("answer counts differ: %d vs %d", len(clean), len(chaos))
-	}
-	for i := range clean {
-		if clean[i] != chaos[i] {
-			t.Fatalf("answer %d differs under chaos:\nfault-free: %s\nchaos:      %s", i, clean[i], chaos[i])
-		}
-	}
-	// The plan must actually have fired — a vacuously green run proves
-	// nothing.
-	if st.Resilience.ServeCrashes == 0 {
-		t.Fatalf("no injected serve crash observed: %+v", st.Resilience)
-	}
-	if st.Resilience.Failovers == 0 && st.Resilience.LeaderFallbacks == 0 {
-		t.Fatalf("crashes fired but nothing failed over: %+v", st.Resilience)
+			clean, _ := run(nil)
+			chaos, st := run(tc.plan)
+			for i := range clean {
+				if clean[i] != chaos[i] {
+					t.Fatalf("answer %d differs under chaos:\nfault-free: %s\nchaos:      %s", i, clean[i], chaos[i])
+				}
+			}
+			// The plan must actually have fired — a vacuously green run
+			// proves nothing.
+			if st.Resilience.ServeCrashes == 0 {
+				t.Fatalf("no injected serve crash observed: %+v", st.Resilience)
+			}
+			if st.Resilience.Failovers == 0 && st.Resilience.LeaderFallbacks == 0 {
+				t.Fatalf("crashes fired but nothing failed over: %+v", st.Resilience)
+			}
+		})
 	}
 }
 
