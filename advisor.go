@@ -318,7 +318,7 @@ func (c *Cube) materializeView(v lattice.ViewID) (ingest.MaterializeResult, erro
 	}
 	order := lattice.Canonical(v)
 	var res ingest.MaterializeResult
-	var stored int64
+	var fp footprint
 	err = c.engine.Maintain(func() error {
 		r, err := ingest.MaterializeView(c.machine, ingest.MaterializeOptions{
 			Src:        src,
@@ -327,7 +327,6 @@ func (c *Cube) materializeView(v lattice.ViewID) (ingest.MaterializeResult, erro
 			Order:      order,
 			MergeGamma: c.opts.MergeGamma,
 			Agg:        c.op,
-			Sketch:     c.sketch,
 		})
 		if err != nil {
 			return err
@@ -335,13 +334,13 @@ func (c *Cube) materializeView(v lattice.ViewID) (ingest.MaterializeResult, erro
 		res = r
 		c.engine.AddView(v, order, r.Rows)
 		c.updateTopology(v, order)
-		stored = c.storedBytes()
+		fp = c.footprint()
 		return nil
 	})
 	if err != nil {
 		return ingest.MaterializeResult{}, err
 	}
-	c.noteViewRows(v, res.Rows, res.SimSeconds, res.BytesMoved, stored)
+	c.noteViewRows(v, res.Rows, res.SimSeconds, res.BytesMoved, fp)
 	return res, nil
 }
 
@@ -351,7 +350,7 @@ func (c *Cube) materializeView(v lattice.ViewID) (ingest.MaterializeResult, erro
 // Returns whether the view was actually retired. Caller holds ingMu.
 func (c *Cube) retireView(v lattice.ViewID) (bool, error) {
 	retired := false
-	var stored int64
+	var fp footprint
 	err := c.engine.Maintain(func() error {
 		if _, ok := c.engine.Order(v); !ok {
 			return nil // already gone
@@ -372,7 +371,7 @@ func (c *Cube) retireView(v lattice.ViewID) (bool, error) {
 		c.engine.RemoveView(v)
 		ingest.RetireView(c.machine, v)
 		c.updateTopology(v, nil)
-		stored = c.storedBytes()
+		fp = c.footprint()
 		retired = true
 		return nil
 	})
@@ -380,7 +379,7 @@ func (c *Cube) retireView(v lattice.ViewID) (bool, error) {
 		return false, err
 	}
 	if retired {
-		c.noteViewRows(v, -1, 0, 0, stored)
+		c.noteViewRows(v, -1, 0, 0, fp)
 	}
 	return retired, nil
 }
@@ -415,9 +414,9 @@ func (c *Cube) updateTopology(v lattice.ViewID, order lattice.Order) {
 // noteViewRows folds one online materialization (rows >= 0) or
 // retirement (rows < 0) into the cube's cumulative metrics, all of its
 // simulated cost under the "advise" phase. Caller holds ingMu.
-func (c *Cube) noteViewRows(v lattice.ViewID, rows int64, simSeconds float64, bytesMoved, stored int64) {
+func (c *Cube) noteViewRows(v lattice.ViewID, rows int64, simSeconds float64, bytesMoved int64, fp footprint) {
 	c.metMu.Lock()
 	defer c.metMu.Unlock()
 	c.foldLocked(simSeconds, bytesMoved, map[string]float64{ingest.PhaseAdvise: simSeconds},
-		map[lattice.ViewID]int64{v: rows}, stored)
+		map[lattice.ViewID]int64{v: rows}, fp)
 }

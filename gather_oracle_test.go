@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/lattice"
 	"repro/internal/record"
+	"repro/internal/sketch"
 )
 
 // The gather-and-scan query implementation: gather the smallest
@@ -80,18 +81,15 @@ func (c *Cube) gatherQuery(q Query) (*View, error) {
 			key[k] = vw.rows.Dim(i, col)
 		}
 		proj.Append(key, vw.rows.Meas(i))
+		proj.SetState(proj.Len()-1, vw.rows.State(i))
 	}
-	agg, release := c.scratchAgg()
-	defer release()
-	out := record.SortAggregateAgg(proj, agg)
-	if agg.State != nil {
+	out := record.SortAggregateAgg(proj, sketch.Agg(c.op))
+	if c.op.Holistic() {
 		pct := defaultPercentile
 		if q.Percentile != nil {
 			pct = *q.Percentile
 		}
-		for i := 0; i < out.Len(); i++ {
-			out.SetMeas(i, c.sketch.EstimateMeasure(out.Meas(i), pct))
-		}
+		sketch.Resolve(c.op, out, pct)
 	}
 	return &View{
 		Attributes: append([]string(nil), q.Group...),
@@ -132,17 +130,4 @@ func (c *Cube) smallestSuperset(need lattice.ViewID) (lattice.ViewID, error) {
 		return 0, fmt.Errorf("rolap: no materialized view covers the queried dimensions")
 	}
 	return best, nil
-}
-
-// scratchAgg returns the aggregate descriptor for a gather-path merge:
-// on holistic cubes the combine runs in a scratch sketch shard, dropped
-// by the returned release func once every handle is resolved.
-func (c *Cube) scratchAgg() (record.Agg, func()) {
-	agg := record.Agg{Op: c.op}
-	if c.sketch == nil {
-		return agg, func() {}
-	}
-	sc := c.sketch.Scratch()
-	agg.State = sc
-	return agg, func() { c.sketch.ReleaseScratch(sc) }
 }

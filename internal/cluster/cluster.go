@@ -56,10 +56,6 @@ type Machine struct {
 	// same plan.
 	faults *faultState
 
-	// tableExtra, when non-nil, reports extra wire bytes a payload
-	// table carries beyond its row bytes (SetTableSizer).
-	tableExtra func(*record.Table) int
-
 	mu    sync.Mutex
 	stats Stats
 
@@ -210,11 +206,6 @@ func (m *Machine) Run(body func(*Proc)) error {
 
 // Rank returns the processor's rank in [0, P).
 func (p *Proc) Rank() int { return p.rank }
-
-// OrigRank returns the processor's rank in the machine as originally
-// built, stable across Shrink. Fault plans address processors by
-// original rank.
-func (p *Proc) OrigRank() int { return p.orig }
 
 // P returns the number of processors in the machine.
 func (p *Proc) P() int { return p.m.p }
@@ -477,24 +468,14 @@ func AllToAll[T any](p *Proc, out []T, bytesOf func(T) int) []T {
 	return in
 }
 
-// SetTableSizer installs a hook reporting the extra wire bytes a
-// payload table carries beyond its row bytes — e.g. the serialized
-// sketch state behind holistic-measure handles — so bulk h-relations
-// charge for the payload that actually crosses the switch. Install
-// before Run; the hook must be safe for concurrent use.
-func (m *Machine) SetTableSizer(extra func(*record.Table) int) { m.tableExtra = extra }
-
 // tableBytes is the modelled wire size of a payload table (nil means
-// empty), including any extra state bytes the installed sizer reports.
-func (m *Machine) tableBytes(t *record.Table) int {
+// empty): its row bytes plus the sketch blobs a holistic table ships
+// with its rows.
+func tableBytes(t *record.Table) int {
 	if t == nil || t.Len() == 0 {
 		return 0
 	}
-	b := t.Bytes()
-	if m.tableExtra != nil {
-		b += m.tableExtra(t)
-	}
-	return b
+	return t.Bytes() + t.StateBytes()
 }
 
 // AllToAllTables is AllToAll for record tables, with byte accounting
@@ -504,10 +485,10 @@ func (m *Machine) tableBytes(t *record.Table) int {
 // repaired by charged retransmissions with exponential backoff.
 func AllToAllTables(p *Proc, out []*record.Table) []*record.Table {
 	if p.m.faults == nil {
-		return AllToAll(p, out, p.m.tableBytes)
+		return AllToAll(p, out, tableBytes)
 	}
 	return allToAllChecked(p, out, wire[*record.Table]{
-		size:    p.m.tableBytes,
+		size:    tableBytes,
 		rows:    (*record.Table).Len,
 		sum:     (*record.Table).Checksum,
 		corrupt: (*record.Table).Corrupt,

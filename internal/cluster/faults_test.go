@@ -185,7 +185,7 @@ func TestShrinkRenumbersAndPreservesState(t *testing.T) {
 	}
 	wantOrig := []int{0, 2, 3}
 	for r := 0; r < 3; r++ {
-		if got := m.Proc(r).OrigRank(); got != wantOrig[r] {
+		if got := m.Proc(r).orig; got != wantOrig[r] {
 			t.Fatalf("rank %d orig = %d, want %d", r, got, wantOrig[r])
 		}
 		tb := m.Proc(r).Disk().MustGet("tag")

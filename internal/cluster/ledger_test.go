@@ -91,8 +91,13 @@ func TestCommitBillsLikeRun(t *testing.T) {
 		for r := 0; r < p; r++ {
 			a, b := run.Proc(r), led.Proc(r)
 			ac, bc := a.Clock(), b.Clock()
-			if ac.Seconds() != bc.Seconds() || ac.CPUSeconds() != bc.CPUSeconds() || ac.DiskSeconds() != bc.DiskSeconds() ||
-				ac.CommSeconds() != bc.CommSeconds() || ac.PendingCommSeconds() != bc.PendingCommSeconds() ||
+			// Equal clocks have equal communication in flight: it shows
+			// as equal seconds once both settle it.
+			inFlight := ac.Seconds() - bc.Seconds()
+			ac.SettleComm()
+			bc.SettleComm()
+			if inFlight != 0 || ac.Seconds() != bc.Seconds() || ac.CPUSeconds() != bc.CPUSeconds() || ac.DiskSeconds() != bc.DiskSeconds() ||
+				ac.CommSeconds() != bc.CommSeconds() ||
 				ac.OverlappedCommSeconds() != bc.OverlappedCommSeconds() {
 				t.Fatalf("seed %d rank %d: clocks differ", seed, r)
 			}

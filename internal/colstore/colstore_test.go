@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/record"
@@ -186,35 +187,6 @@ func TestTableCacheSharedAndEqual(t *testing.T) {
 	}
 }
 
-func TestFrequencyRemaps(t *testing.T) {
-	t.Parallel()
-	// Sparse first-appearance codes: three values with skewed
-	// frequencies at codes 9000, 5, 70000.
-	src := record.New(1, 0)
-	for i := 0; i < 60; i++ {
-		src.Append([]uint32{9000}, 1)
-	}
-	for i := 0; i < 30; i++ {
-		src.Append([]uint32{5}, 1)
-	}
-	for i := 0; i < 10; i++ {
-		src.Append([]uint32{70000}, 1)
-	}
-	remaps := FrequencyRemaps(src)
-	if remaps[0][9000] != 0 || remaps[0][5] != 1 || remaps[0][70000] != 2 {
-		t.Fatalf("frequency order wrong: %d %d %d", remaps[0][9000], remaps[0][5], remaps[0][70000])
-	}
-	cards := RemapCards(src, remaps)
-	ApplyRemaps(src, remaps)
-	if cards[0] != 3 {
-		t.Fatalf("effective cardinality %d, want 3", cards[0])
-	}
-	kp := record.PlanKeyFromCards(cards)
-	if kp.Bits() != 2 {
-		t.Fatalf("reordered plan %d bits, want 2", kp.Bits())
-	}
-}
-
 func TestStoreInterface(t *testing.T) {
 	t.Parallel()
 	src := sortedTable(100, []int{4, 40}, 19)
@@ -228,5 +200,58 @@ func TestStoreInterface(t *testing.T) {
 	}
 	if !record.Equal(st.Table(), src) {
 		t.Fatal("Slice Store decode broken")
+	}
+}
+
+// TestStateColumnRoundTrip: a holistic table's sketch blobs live in
+// the slice next to its rows. They round-trip through Encode and every
+// decode, count in the modelled size and the checksum, and a damaged
+// offset directory fails Validate.
+func TestStateColumnRoundTrip(t *testing.T) {
+	t.Parallel()
+	src := sortedTable(200, []int{4, 40}, 23)
+	for i := 0; i < src.Len(); i += 3 {
+		src.SetMeas(i, 0)
+		src.SetState(i, []byte(fmt.Sprintf("blob-%d", i)))
+	}
+	s := Encode(src)
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if s.StateBytes() != src.StateBytes() || s.StateBytes() == 0 {
+		t.Fatalf("slice holds %d state bytes, table %d", s.StateBytes(), src.StateBytes())
+	}
+	plain := Encode(src.Clone())
+	plain.StateEnds, plain.State = nil, nil
+	if s.Bytes() != plain.Bytes()+s.StateBytes() {
+		t.Fatalf("Bytes %d does not add the blobs to %d", s.Bytes(), plain.Bytes())
+	}
+	if !record.Equal(s.Decode(), src) || !record.Equal(s.Clone().Decode(), src) {
+		t.Fatal("state column lost in decode")
+	}
+	n := src.Len()
+	for _, r := range [][2]int{{0, 1}, {1, 3}, {5, n / 2}, {n - 1, n}} {
+		if !record.Equal(s.DecodeRange(r[0], r[1]), src.Window(r[0], r[1])) {
+			t.Fatalf("DecodeRange%v lost the state column", r)
+		}
+		if got, want := s.RangeBytes(r[0], r[1]), plain.RangeBytes(r[0], r[1])+src.Window(r[0], r[1]).StateBytes(); got != want {
+			t.Fatalf("RangeBytes%v = %d, want %d", r, got, want)
+		}
+	}
+	sum := s.Checksum()
+	c := s.Clone()
+	c.State[0] ^= 1
+	if c.Checksum() == sum {
+		t.Fatal("checksum misses a flipped blob byte")
+	}
+	c = s.Clone()
+	c.StateEnds[1], c.StateEnds[2] = c.StateEnds[2], c.StateEnds[1]-1
+	if err := c.Validate(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("decreasing offsets: %v", err)
+	}
+	c = s.Clone()
+	c.StateEnds = c.StateEnds[:10]
+	if err := c.Validate(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("short offset directory: %v", err)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/mergepart"
 	"repro/internal/record"
+	"repro/internal/sketch"
 )
 
 // ckptPrefix names the neighbor-replica copy of a file.
@@ -177,7 +178,7 @@ func recoverOnProc(p *cluster.Proc, rawFile string, cfg Config, sel []lattice.Vi
 	p.SetPhase("recover")
 
 	completed := completedViews(cfg.D, sel, resume)
-	agg := cfg.Sketch.Rank(p.Rank()).Agg(cfg.Agg)
+	agg := sketch.Agg(cfg.Agg)
 
 	// The dead rank's ring neighbor holds its replicas and adopts them:
 	// the raw replica is appended to its own share, each completed view

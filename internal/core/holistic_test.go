@@ -66,27 +66,26 @@ func exactQuantile(vals []int64, q float64) float64 {
 }
 
 // buildHolistic distributes raw over p processors and builds the full
-// cube under the holistic op, returning the machine and its store.
-func buildHolistic(t *testing.T, raw *record.Table, d, p int, op record.AggOp, kind sketch.Kind, arena int) (*cluster.Machine, *sketch.Store, Metrics) {
+// cube under the holistic op.
+func buildHolistic(t *testing.T, raw *record.Table, d, p int, op record.AggOp) (*cluster.Machine, Metrics) {
 	t.Helper()
-	st := sketch.NewStore(sketch.Config{Kind: kind, ArenaBudget: arena})
 	m := cluster.New(p, costmodel.Default())
 	n := raw.Len()
 	for r := 0; r < p; r++ {
 		m.Proc(r).Disk().Put("raw", raw.Sub(r*n/p, (r+1)*n/p))
 	}
-	met, err := BuildCube(m, "raw", Config{D: d, Agg: op, Sketch: st})
+	met, err := BuildCube(m, "raw", Config{D: d, Agg: op})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, st, met
+	return m, met
 }
 
-// checkHolisticCube walks every view slice, resolves each group's
-// measure through the store, and compares against the brute-force
+// checkHolisticCube walks every view slice, serves each group's
+// estimate from its row, and compares against the brute-force
 // oracle. With measures below 128 and group cardinalities below the
 // exact threshold, both sketches are exact, so the comparison is too.
-func checkHolisticCube(t *testing.T, m *cluster.Machine, st *sketch.Store, raw *record.Table, d int, op record.AggOp) {
+func checkHolisticCube(t *testing.T, m *cluster.Machine, raw *record.Table, d int, op record.AggOp) {
 	t.Helper()
 	for _, v := range lattice.AllViews(d) {
 		oracle := holisticOracle(raw, v)
@@ -109,13 +108,13 @@ func checkHolisticCube(t *testing.T, m *cluster.Machine, st *sketch.Store, raw *
 				seen++
 				switch op {
 				case record.OpDistinct:
-					got := st.Estimate(tb.Meas(i), 0)
+					got := sketch.Estimate(op, tb.Meas(i), tb.State(i), 0)
 					if want := exactDistinct(vals); got != want {
 						t.Fatalf("view %v key %q distinct %v, want %v", v, key, got, want)
 					}
 				case record.OpQuantile:
 					for _, q := range []float64{0, 0.5, 1} {
-						got := st.Estimate(tb.Meas(i), q)
+						got := sketch.Estimate(op, tb.Meas(i), tb.State(i), q)
 						if want := exactQuantile(vals, q); math.Abs(got-want) > 0.5 {
 							t.Fatalf("view %v key %q q=%v got %v, want %v", v, key, q, got, want)
 						}
@@ -183,8 +182,8 @@ func keyOf(tb *record.Table, i int, ord []int) string {
 func TestBuildCubeDistinct(t *testing.T) {
 	d := 3
 	raw := holisticRaw(1200, d, []int{6, 4, 3}, 100)
-	m, st, met := buildHolistic(t, raw, d, 4, record.OpDistinct, sketch.KindDistinct, sketch.DefaultArenaBudget)
-	checkHolisticCube(t, m, st, raw, d, record.OpDistinct)
+	m, met := buildHolistic(t, raw, d, 4, record.OpDistinct)
+	checkHolisticCube(t, m, raw, d, record.OpDistinct)
 	if met.SketchBytes <= 0 {
 		t.Fatalf("SketchBytes = %d, want > 0", met.SketchBytes)
 	}
@@ -200,28 +199,29 @@ func TestBuildCubeDistinct(t *testing.T) {
 func TestBuildCubeQuantile(t *testing.T) {
 	d := 3
 	raw := holisticRaw(1200, d, []int{6, 4, 3}, 100)
-	m, st, _ := buildHolistic(t, raw, d, 4, record.OpQuantile, sketch.KindQuantile, sketch.DefaultArenaBudget)
-	checkHolisticCube(t, m, st, raw, d, record.OpQuantile)
+	m, _ := buildHolistic(t, raw, d, 4, record.OpQuantile)
+	checkHolisticCube(t, m, raw, d, record.OpQuantile)
 }
 
-// TestBuildCubeHolisticMemoryBounded rebuilds under an arena budget far
-// below the total sealed sketch state: the build must spill and merge
-// in bounded passes yet produce the same exact answers.
+// TestBuildCubeHolisticMemoryBounded: a holistic build keeps no state
+// beside its views. Every sealed blob left on the machine's disks is a
+// view row's, intermediate files are gone with theirs, and the views'
+// blobs are exactly the state the answers need.
 func TestBuildCubeHolisticMemoryBounded(t *testing.T) {
 	d := 3
 	raw := holisticRaw(1500, d, []int{8, 5, 3}, 100)
-	m, st, _ := buildHolistic(t, raw, d, 4, record.OpQuantile, sketch.KindQuantile, 2048)
-	stats := st.Stats()
-	if stats.SealedBytes <= 2048 {
-		t.Fatalf("sealed %d bytes; arena not actually under pressure", stats.SealedBytes)
+	m, met := buildHolistic(t, raw, d, 4, record.OpQuantile)
+	var onDisk int64
+	for r := 0; r < m.P(); r++ {
+		disk := m.Proc(r).Disk()
+		for _, f := range disk.Files() {
+			onDisk += int64(disk.StateBytes(f))
+		}
 	}
-	if stats.PeakResident > 2048+4*1024 {
-		t.Fatalf("peak resident %d blew the arena budget", stats.PeakResident)
+	if met.SketchBytes <= 0 || onDisk != met.SketchBytes {
+		t.Fatalf("disks hold %d sketch bytes, the views %d", onDisk, met.SketchBytes)
 	}
-	if stats.Decodes == 0 {
-		t.Fatal("no spill-and-reload happened under a tiny arena")
-	}
-	checkHolisticCube(t, m, st, raw, d, record.OpQuantile)
+	checkHolisticCube(t, m, raw, d, record.OpQuantile)
 }
 
 // TestBuildCubeHolisticDeterministic: two independent builds of the
@@ -238,8 +238,8 @@ func TestBuildCubeHolisticDeterministic(t *testing.T) {
 	if record.MeasureKeyPlan(wide).Packable() {
 		t.Fatal("test premise broken: the shifted keys still pack")
 	}
-	m1, st1, _ := buildHolistic(t, raw, d, 3, record.OpDistinct, sketch.KindDistinct, sketch.DefaultArenaBudget)
-	m2, st2, _ := buildHolistic(t, wide, d, 3, record.OpDistinct, sketch.KindDistinct, sketch.DefaultArenaBudget)
+	m1, _ := buildHolistic(t, raw, d, 3, record.OpDistinct)
+	m2, _ := buildHolistic(t, wide, d, 3, record.OpDistinct)
 	for _, v := range lattice.AllViews(d) {
 		for r := 0; r < m1.P(); r++ {
 			t1, ok1 := m1.Proc(r).Disk().Peek(ViewFile(v))
@@ -254,17 +254,11 @@ func TestBuildCubeHolisticDeterministic(t *testing.T) {
 				t.Fatalf("view %v rank %d length differs", v, r)
 			}
 			for i := 0; i < t1.Len(); i++ {
-				w1, w2 := t1.Meas(i), t2.Meas(i)
-				if w1 >= 0 || w2 >= 0 {
-					// A single-fact group keeps its raw value, no sketch.
-					if w1 != w2 {
-						t.Fatalf("view %v rank %d row %d raw measures differ", v, r, i)
-					}
-					continue
+				// A single-fact group keeps its raw value, no sketch.
+				if t1.Meas(i) != t2.Meas(i) {
+					t.Fatalf("view %v rank %d row %d raw measures differ", v, r, i)
 				}
-				b1 := st1.Export([]int64{w1})[0]
-				b2 := st2.Export([]int64{w2})[0]
-				if string(b1) != string(b2) {
+				if string(t1.State(i)) != string(t2.State(i)) {
 					t.Fatalf("view %v rank %d row %d sketch blobs differ", v, r, i)
 				}
 			}
@@ -277,11 +271,7 @@ func TestBuildCubeHolisticValidation(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		m.Proc(r).Disk().Put("raw", record.New(2, 0))
 	}
-	if _, err := BuildCube(m, "raw", Config{D: 2, Agg: record.OpDistinct}); err == nil {
-		t.Fatal("holistic build without a sketch store must be rejected")
-	}
-	st := sketch.NewStore(sketch.Config{Kind: sketch.KindDistinct})
-	if _, err := BuildCube(m, "raw", Config{D: 2, Agg: record.OpDistinct, Sketch: st, MinSupport: 5}); err == nil {
+	if _, err := BuildCube(m, "raw", Config{D: 2, Agg: record.OpDistinct, MinSupport: 5}); err == nil {
 		t.Fatal("holistic iceberg build must be rejected")
 	}
 }

@@ -14,18 +14,7 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/pipesort"
 	"repro/internal/record"
-	"repro/internal/sketch"
 )
-
-// ChargeSketchPayloads is the prologue of every schedule: on a holistic
-// cube sketch payloads ride the h-relations with the rows that carry
-// their handles, so every bulk exchange charges their serialized size
-// on top of the row bytes.
-func ChargeSketchPayloads(m *cluster.Machine, op record.AggOp, st *sketch.Store) {
-	if sz := st.Rank(0).Agg(op); sz.State != nil {
-		m.SetTableSizer(sz.TableStateBytes)
-	}
-}
 
 // PhaseTimer returns a schedule's phase bracket: phase(name) labels the
 // processor's communication and starts timing, the func it returns

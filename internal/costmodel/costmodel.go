@@ -179,10 +179,6 @@ func (c *Clock) CommSeconds() float64 { return c.commSeconds }
 // by concurrent CPU or disk work via the overlap lane.
 func (c *Clock) OverlappedCommSeconds() float64 { return c.overlappedComm }
 
-// PendingCommSeconds returns the in-flight overlappable communication
-// not yet drained or settled.
-func (c *Clock) PendingCommSeconds() float64 { return c.pendingComm }
-
 // drain overlaps dt seconds of local work with any in-flight
 // communication: up to dt seconds of the pending transfer complete
 // concurrently and are masked.

@@ -72,15 +72,15 @@ func TestOverlapLaneMasksCommBehindWork(t *testing.T) {
 	if math.Abs(c.OverlappedCommSeconds()-0.25) > 1e-12 {
 		t.Fatalf("OverlappedCommSeconds = %v, want 0.25", c.OverlappedCommSeconds())
 	}
-	if math.Abs(c.PendingCommSeconds()-0.75) > 1e-12 {
-		t.Fatalf("PendingCommSeconds = %v, want 0.75", c.PendingCommSeconds())
+	if math.Abs(c.pendingComm-0.75) > 1e-12 {
+		t.Fatalf("PendingCommSeconds = %v, want 0.75", c.pendingComm)
 	}
 	c.SettleComm()                         // residual 0.75 s becomes elapsed time
 	if math.Abs(c.Seconds()-1.0) > 1e-12 { // 0.25 compute + 0.75 residual
 		t.Fatalf("Seconds = %v, want 1.0", c.Seconds())
 	}
-	if c.PendingCommSeconds() != 0 {
-		t.Fatalf("pending %v after settle", c.PendingCommSeconds())
+	if c.pendingComm != 0 {
+		t.Fatalf("pending %v after settle", c.pendingComm)
 	}
 	// Total elapsed is 0.25 s cheaper than the synchronous 1.25 s.
 	if math.Abs(c.OverlappedCommSeconds()-0.25) > 1e-12 {

@@ -40,28 +40,25 @@ func holisticRows(n, d int, cards []int, salt uint64) *record.Table {
 // threshold, so estimates must be exact.
 func TestIngestHolisticMatchesOracle(t *testing.T) {
 	for _, tc := range []struct {
-		op   record.AggOp
-		kind sketch.Kind
+		op record.AggOp
 	}{
-		{record.OpDistinct, sketch.KindDistinct},
-		{record.OpQuantile, sketch.KindQuantile},
+		{record.OpDistinct},
+		{record.OpQuantile},
 	} {
 		d, p := 3, 4
 		cards := []int{6, 4, 3}
 		base := holisticRows(800, d, cards, 7)
-		st := sketch.NewStore(sketch.Config{Kind: tc.kind})
 		m := cluster.New(p, costmodel.Default())
 		n := base.Len()
 		for r := 0; r < p; r++ {
 			m.Proc(r).Disk().Put("raw", base.Sub(r*n/p, (r+1)*n/p))
 		}
-		ccfg := core.Config{D: d, Agg: tc.op, Sketch: st}
+		ccfg := core.Config{D: d, Agg: tc.op}
 		met, err := core.BuildCube(m, "raw", ccfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		icfg := ingestConfig(ccfg, met)
-		icfg.Sketch = st
 
 		all := record.New(d, 0)
 		all.AppendTable(base)
@@ -103,14 +100,14 @@ func TestIngestHolisticMatchesOracle(t *testing.T) {
 						for _, x := range vals {
 							set[x] = true
 						}
-						if got := st.Estimate(tb.Meas(i), 0); got != float64(len(set)) {
+						if got := sketch.Estimate(tc.op, tb.Meas(i), tb.State(i), 0); got != float64(len(set)) {
 							t.Fatalf("%v view %v key %q got %v, want %d", tc.op, v, key, got, len(set))
 						}
 					case record.OpQuantile:
 						s := append([]int64(nil), vals...)
 						sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
 						want := float64(s[int(0.5*float64(len(s)-1))])
-						if got := st.Estimate(tb.Meas(i), 0.5); got != want {
+						if got := sketch.Estimate(tc.op, tb.Meas(i), tb.State(i), 0.5); got != want {
 							t.Fatalf("%v view %v key %q median got %v, want %v", tc.op, v, key, got, want)
 						}
 					}

@@ -31,9 +31,6 @@ type MaterializeOptions struct {
 	MergeGamma float64
 	// Agg is the aggregate operator (default record.OpSum).
 	Agg record.AggOp
-	// Sketch is the shared sketch store backing holistic operators
-	// (required when Agg is holistic).
-	Sketch *sketch.Store
 }
 
 // MaterializeResult reports what one online materialization cost.
@@ -77,10 +74,6 @@ func MaterializeView(m *cluster.Machine, opts MaterializeOptions) (MaterializeRe
 	if !opts.View.SubsetOf(opts.Src) || opts.View == opts.Src {
 		return MaterializeResult{}, fmt.Errorf("ingest: view %v is not a strict subset of source %v", opts.View, opts.Src)
 	}
-	if opts.Agg.Holistic() && opts.Sketch == nil {
-		return MaterializeResult{}, fmt.Errorf("ingest: holistic aggregate %v requires a sketch store", opts.Agg)
-	}
-	core.ChargeSketchPayloads(m, opts.Agg, opts.Sketch)
 
 	dims := opts.Src.Dims() // non-empty: Src strictly contains View
 	tree := lattice.NewTree(dims[len(dims)-1]+1, opts.Src, opts.SrcOrder)
@@ -100,7 +93,7 @@ func MaterializeView(m *cluster.Machine, opts MaterializeOptions) (MaterializeRe
 	bytes0 := m.Stats().BytesMoved
 	err := m.Run(func(p *cluster.Proc) {
 		p.SetPhase(PhaseAdvise)
-		agg := opts.Sketch.Rank(p.Rank()).Agg(opts.Agg)
+		agg := sketch.Agg(opts.Agg)
 		if p.Disk().Has(fileOf(opts.Src)) {
 			core.ExecuteSchedule(p, tree, fileOf, tree.Views(), 0, agg)
 		} else {

@@ -191,15 +191,3 @@ func sortViews(vs []ViewID) {
 		}
 	}
 }
-
-// Level groups views by dimension count: Level(views, k) returns the
-// members with exactly k dimensions.
-func Level(views []ViewID, k int) []ViewID {
-	var out []ViewID
-	for _, v := range views {
-		if v.Count() == k {
-			out = append(out, v)
-		}
-	}
-	return out
-}

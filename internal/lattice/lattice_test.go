@@ -143,13 +143,6 @@ func TestPartitionSubset(t *testing.T) {
 	}
 }
 
-func TestLevel(t *testing.T) {
-	lvl2 := Level(AllViews(4), 2)
-	if len(lvl2) != 6 {
-		t.Fatalf("level 2 of d=4 has %d views, want 6", len(lvl2))
-	}
-}
-
 func mustParse(s string) ViewID {
 	v, err := ParseView(s)
 	if err != nil {

@@ -20,9 +20,8 @@ type Options struct {
 	SampleCap int
 	// Op is the aggregate operator (default record.OpSum).
 	Op record.AggOp
-	// State is this processor's sketch-state combiner, required when Op
-	// is holistic: group accumulators then live in the sketch store and
-	// flushed rows carry sealed handles.
+	// State is the sketch-state combiner, required when Op is holistic:
+	// each group's accumulator is sealed into its output row's blob.
 	State record.StateCombiner
 }
 
@@ -135,22 +134,16 @@ func pipelineAggregate(src *record.Table, lens []int, outs []*record.Table, agg 
 	}
 	k := len(lens)
 	groupStart := make([]int, k)
-	accs := make([]int64, k)
+	runs := make([]record.Run, k)
 	fresh := make([]bool, k)
-	combined := make([]bool, k)
 	for i := 0; i < k; i++ {
-		accs[i] = src.Meas(0)
+		runs[i] = agg.Start(src, 0)
 	}
 	maxLen := maxOf(lens)
 	flush := func(i, row int) {
-		gs := groupStart[i]
-		if combined[i] {
-			// Seal combined accumulators on emit: flushed rows may be
-			// stored, shipped, or merged downstream.
-			accs[i] = agg.Seal(accs[i])
-			combined[i] = false
-		}
-		outs[i].Append(src.Row(gs)[:lens[i]], accs[i])
+		// AppendRun seals the group's accumulator on emit: flushed rows
+		// may be stored, shipped, or merged downstream.
+		outs[i].AppendRun(src.Row(groupStart[i])[:lens[i]], &runs[i])
 		groupStart[i] = row
 		fresh[i] = true
 	}
@@ -158,17 +151,15 @@ func pipelineAggregate(src *record.Table, lens []int, outs []*record.Table, agg 
 		// Levels whose prefix includes the first differing column close
 		// their group.
 		diff := firstDiff(src, r, maxLen)
-		m := src.Meas(r)
 		for i := 0; i < k; i++ {
 			if lens[i] > diff {
 				flush(i, r)
 			}
 			if fresh[i] {
-				accs[i] = m
+				runs[i] = agg.Start(src, r)
 				fresh[i] = false
 			} else {
-				accs[i] = agg.Combine(accs[i], m)
-				combined[i] = true
+				agg.Add(&runs[i], src, r)
 			}
 		}
 	}

@@ -50,13 +50,12 @@ var ErrStalePlan = errors.New("queryengine: plan is stale (materialized view set
 // advisor actions) excludes them. The front end (admission control,
 // caching) layers above.
 type Engine struct {
-	m  *cluster.Machine
-	op record.AggOp
-	// sk backs holistic operators: view measures are handles into it,
-	// query-time merges run in scratch shards released per query, and
-	// results carry resolved estimates instead of handles. Nil for
-	// algebraic operators.
-	sk *sketch.Store
+	m *cluster.Machine
+	// agg combines the operator's measures. For a holistic operator the
+	// views carry each group's sealed sketch in their state column; a
+	// query folds them in accumulators of its own passes and returns
+	// the estimates served from the merged blobs.
+	agg record.Agg
 
 	// mu is the maintenance lock: Execute holds its read side, so any
 	// number of queries run at once, and Maintain its write side.
@@ -125,7 +124,7 @@ func New(m *cluster.Machine, orders map[lattice.ViewID]lattice.Order, rows map[l
 	}
 	return &Engine{
 		m:        m,
-		op:       op,
+		agg:      sketch.Agg(op),
 		orders:   os,
 		rows:     rs,
 		versions: make(map[lattice.ViewID]uint64, len(orders)),
@@ -134,18 +133,9 @@ func New(m *cluster.Machine, orders map[lattice.ViewID]lattice.Order, rows map[l
 	}
 }
 
-// SetSketch attaches the sketch store backing a holistic operator.
-// Call it once, before any query executes; Execute panics on a
-// holistic engine without a store.
-func (e *Engine) SetSketch(st *sketch.Store) { e.sk = st }
-
-// Sketch returns the attached sketch store (nil for algebraic
-// operators).
-func (e *Engine) Sketch() *sketch.Store { return e.sk }
-
 // Holistic reports whether the engine's operator aggregates through
 // sketch state, i.e. query results are estimates.
-func (e *Engine) Holistic() bool { return e.op.Holistic() }
+func (e *Engine) Holistic() bool { return e.agg.Op.Holistic() }
 
 // ViewVersion returns view v's version counter. It starts at 0 and is
 // bumped by InvalidateView whenever an ingest batch replaces the
@@ -495,26 +485,6 @@ func (e *Engine) Execute(q Query) (*record.Table, Metrics, error) {
 	}
 
 	p := e.m.P()
-	if e.op.Holistic() && e.sk == nil {
-		panic("queryengine: holistic operator without a sketch store (call SetSketch)")
-	}
-	// Holistic queries combine group state in per-rank scratch shards,
-	// resolved to estimates at the root and released before returning —
-	// the store's rank shards (the live cube's state) are never touched.
-	aggs := make([]record.Agg, p)
-	var scratch []*sketch.Combiner
-	for r := range aggs {
-		aggs[r] = record.Agg{Op: e.op}
-		if e.op.Holistic() {
-			scratch = append(scratch, e.sk.Scratch())
-			aggs[r] = scratch[r].Agg(e.op)
-		}
-	}
-	defer func() {
-		for _, c := range scratch {
-			e.sk.ReleaseScratch(c)
-		}
-	}()
 	l := cluster.NewLedger(p, "query")
 	parts := make([]*record.Table, p)
 	scanned := make([]int64, p)
@@ -526,10 +496,10 @@ func (e *Engine) Execute(q Query) (*record.Table, Metrics, error) {
 				errs[r] = fmt.Errorf("queryengine: rank %d scan panicked: %v", r, v)
 			}
 		}()
-		parts[r], scanned[r], idxUsed[r] = e.scanLocal(l, r, q, aggs[r])
-		// Sketch payloads travel with their handles: the gather charge
-		// includes the serialized state of every shipped group.
-		l.Gather(r, parts[r].Bytes()+aggs[r].TableStateBytes(parts[r]))
+		parts[r], scanned[r], idxUsed[r] = e.scanLocal(l, r, q, e.agg)
+		// Sketch blobs travel with their rows: the gather charge
+		// includes the sealed state of every shipped group.
+		l.Gather(r, parts[r].Bytes()+parts[r].StateBytes())
 	}
 	var wg sync.WaitGroup
 	for r := 1; r < p; r++ {
@@ -555,15 +525,11 @@ func (e *Engine) Execute(q Query) (*record.Table, Metrics, error) {
 	// Loser-tree k-way merge on packed keys (heap fallback for unpackable
 	// keys); the MergeOps charge is path-independent.
 	l.Root(costmodel.MergeOps(total, streams))
-	out := record.MergeSortedAggregateAgg(parts, aggs[0])
-	if aggs[0].State != nil {
-		// Resolve handles to estimates in place: the result the caller
-		// sees carries plain values, never handles into scratch shards
-		// about to be released.
+	out := record.MergeSortedAggregateAgg(parts, e.agg)
+	if e.agg.State != nil {
+		// Serve estimates in place: the caller sees plain values.
 		l.Root(costmodel.ScanOps(out.Len()))
-		for i := 0; i < out.Len(); i++ {
-			out.SetMeas(i, e.sk.EstimateMeasure(out.Meas(i), q.Percentile))
-		}
+		sketch.Resolve(e.agg.Op, out, q.Percentile)
 	}
 	met := Metrics{Source: q.View, Version: ver}
 	met.SimSeconds, met.BytesMoved = e.m.Commit(l)

@@ -69,71 +69,68 @@ func TestAggOpsExhaustive(t *testing.T) {
 }
 
 // TestAggSealAndStateBytesAlgebraic pins the algebraic fast path: an
-// Agg without a StateCombiner is the bare operator (identity Seal,
-// zero state bytes).
+// Agg without a StateCombiner folds the bare operator, opens nothing,
+// and leaves its output without a state column (zero state bytes).
 func TestAggSealAndStateBytesAlgebraic(t *testing.T) {
 	t.Parallel()
 	a := Agg{Op: OpSum}
-	if got := a.Combine(2, 3); got != 5 {
-		t.Fatalf("Combine = %d", got)
+	tb := FromRows(1, [][]uint32{{1}, {1}, {2}}, []int64{2, 3, -9})
+	r := a.Start(tb, 0)
+	a.Add(&r, tb, 1)
+	r.Seal()
+	if r.Meas != 5 || r.Blob != nil {
+		t.Fatalf("run = %+v, want measure 5 and no blob", r)
 	}
-	if got := a.Seal(-42); got != -42 {
-		t.Fatalf("Seal = %d", got)
-	}
-	if got := a.StateBytes(-42); got != 0 {
-		t.Fatalf("StateBytes = %d", got)
-	}
-	tb := FromRows(1, [][]uint32{{1}, {2}}, []int64{5, -9})
-	if got := a.TableStateBytes(tb); got != 0 {
-		t.Fatalf("TableStateBytes = %d", got)
+	out := AggregateSortedAgg(tb, 1, a)
+	if out.Meas(0) != 5 || out.Meas(1) != -9 || out.state != nil || out.StateBytes() != 0 {
+		t.Fatalf("algebraic aggregate %v carries state", out)
 	}
 }
 
-// fakeCombiner counts calls so aggregation paths can be audited for
-// seal-on-emit: every emitted accumulator must be sealed exactly once.
-type fakeCombiner struct {
-	sealed   map[int64]bool
-	combines int
-	next     int64
+// countingCombiner seals a group as the count of the rows absorbed and
+// counts the accumulators it opens and seals, so aggregation paths can
+// be audited for seal-on-emit.
+type countingCombiner struct{ opened, sealed int }
+
+type countingAcc struct {
+	c *countingCombiner
+	n int
 }
 
-func newFakeCombiner() *fakeCombiner { return &fakeCombiner{sealed: map[int64]bool{}, next: -1} }
+func (c *countingCombiner) Open() Accumulator { c.opened++; return &countingAcc{c: c} }
 
-func (f *fakeCombiner) Combine(a, b int64) int64 {
-	f.combines++
-	if a < 0 && !f.sealed[a] {
-		return a // open accumulator absorbs in place
+func (a *countingAcc) Absorb(meas int64, blob []byte) {
+	if blob == nil {
+		a.n++
+		return
 	}
-	h := f.next
-	f.next--
-	return h
+	a.n += int(blob[0])
 }
 
-func (f *fakeCombiner) Seal(h int64) int64 {
-	if h < 0 {
-		f.sealed[h] = true
-	}
-	return h
-}
-
-func (f *fakeCombiner) StateBytes(h int64) int {
-	if h < 0 {
-		return 16
-	}
-	return 0
-}
+func (a *countingAcc) Seal() []byte { a.c.sealed++; return []byte{byte(a.n)} }
 
 // TestAggregateSealsOnEmit verifies the aggregation and merge paths
-// seal every combined accumulator before it reaches the output table —
-// the invariant that makes emitted tables safe to store, ship, and
-// share.
+// seal every accumulator they open into the output row's blob before
+// returning — the invariant that makes emitted tables safe to store,
+// ship, and share, and keeps open state inside the pass that owns it —
+// while a run of one row keeps its raw measure and no blob.
 func TestAggregateSealsOnEmit(t *testing.T) {
 	t.Parallel()
-	check := func(name string, out *Table, f *fakeCombiner) {
+	check := func(name string, out *Table, c *countingCombiner, want []int) {
 		t.Helper()
-		for i := 0; i < out.Len(); i++ {
-			if m := out.Meas(i); m < 0 && !f.sealed[m] {
-				t.Fatalf("%s: row %d emitted unsealed accumulator %d", name, i, m)
+		if c.opened != c.sealed {
+			t.Fatalf("%s: opened %d accumulators, sealed %d", name, c.opened, c.sealed)
+		}
+		if out.Len() != len(want) {
+			t.Fatalf("%s: %d rows, want %d", name, out.Len(), len(want))
+		}
+		for i, n := range want {
+			b := out.State(i)
+			switch {
+			case n == 1 && b != nil:
+				t.Fatalf("%s: singleton row %d got a blob", name, i)
+			case n > 1 && (len(b) != 1 || int(b[0]) != n || out.Meas(i) != 0):
+				t.Fatalf("%s: row %d sealed %v (measure %d), want a count of %d", name, i, b, out.Meas(i), n)
 			}
 		}
 	}
@@ -144,22 +141,18 @@ func TestAggregateSealsOnEmit(t *testing.T) {
 			[][]uint32{{1}, {1}, {1}, {2}, {3}, {3}},
 			[]int64{10, 11, 12, 20, 30, 31})
 	}
-	f := newFakeCombiner()
-	out := AggregateSortedAgg(mk(), 1, Agg{Op: OpDistinct, State: f})
-	if out.Len() != 3 {
-		t.Fatalf("AggregateSortedAgg rows = %d", out.Len())
-	}
-	check("AggregateSortedAgg", out, f)
+	c := &countingCombiner{}
+	out := AggregateSortedAgg(mk(), 1, Agg{Op: OpDistinct, State: c})
+	check("AggregateSortedAgg", out, c, []int{3, 1, 2})
 	if out.Meas(1) != 20 {
 		t.Fatalf("singleton run must keep its raw measure, got %d", out.Meas(1))
 	}
 
-	f = newFakeCombiner()
-	a := FromRows(1, [][]uint32{{1}, {2}, {4}}, []int64{1, 2, 4})
+	// Merging sealed rows absorbs their blobs: key 1 folds the 3-row
+	// group above with one more fact.
+	c = &countingCombiner{}
+	a := out
 	b := FromRows(1, [][]uint32{{1}, {3}, {4}}, []int64{5, 3, 6})
-	out = MergeSortedAggregateAgg([]*Table{a, b}, Agg{Op: OpDistinct, State: f})
-	if out.Len() != 4 {
-		t.Fatalf("MergeSortedAggregateAgg rows = %d", out.Len())
-	}
-	check("MergeSortedAggregateAgg", out, f)
+	out = MergeSortedAggregateAgg([]*Table{a, b}, Agg{Op: OpDistinct, State: c})
+	check("MergeSortedAggregateAgg", out, c, []int{4, 1, 3, 1})
 }

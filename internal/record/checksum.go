@@ -1,7 +1,8 @@
 package record
 
 // Checksum returns an FNV-1a hash of the table's wire image (column
-// count, then the row-major dimension values and measures). It is the
+// count, then the row-major dimension values and measures, then any
+// sketch blobs). It is the
 // integrity check on h-relation payloads: a retransmitting transport
 // compares the received table's checksum against the sender's.
 func (t *Table) Checksum() uint64 {
@@ -24,6 +25,13 @@ func (t *Table) Checksum() uint64 {
 	for _, m := range t.meas {
 		mix32(uint32(m))
 		mix32(uint32(uint64(m) >> 32))
+	}
+	for _, b := range t.state {
+		mix32(uint32(len(b)))
+		for _, c := range b {
+			h ^= uint64(c)
+			h *= prime
+		}
 	}
 	return h
 }

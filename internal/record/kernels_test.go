@@ -44,6 +44,14 @@ func wideRandomTable(seed int64, n, d int) *Table {
 	return t
 }
 
+// packRow packs row i of t into its [hi, lo] key pair through the bulk
+// PackKeys kernel; hi is zero for narrow plans.
+func packRow(kp KeyPlan, t *Table, i int) (hi, lo uint64) {
+	h, l := make([]uint64, 1), make([]uint64, 1)
+	kp.PackKeys(t.Window(i, i+1), h, l)
+	return h[0], l[0]
+}
+
 func TestKeyPlanPackRowOrdersLikeCompare(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
@@ -51,12 +59,12 @@ func TestKeyPlanPackRowOrdersLikeCompare(t *testing.T) {
 		tb := randomTable(rng.Int63(), 200, d, 1<<uint(4*d)) // up to 16 bits/col
 		kp := MeasureKeyPlan(tb)
 		if !kp.Packable() {
-			t.Fatalf("d=%d plan unexpectedly unpackable (%d bits)", d, kp.Bits())
+			t.Fatalf("d=%d plan unexpectedly unpackable (%d bits)", d, kp.bits)
 		}
 		for trial := 0; trial < 500; trial++ {
 			i, j := rng.Intn(tb.Len()), rng.Intn(tb.Len())
-			hi1, lo1 := kp.PackRow(tb, i)
-			hi2, lo2 := kp.PackRow(tb, j)
+			hi1, lo1 := packRow(kp, tb, i)
+			hi2, lo2 := packRow(kp, tb, j)
 			keyCmp := 0
 			if hi1 != hi2 || lo1 != lo2 {
 				keyCmp = -1
@@ -78,13 +86,13 @@ func TestKeyPlanWidePackOrdersLikeCompare(t *testing.T) {
 	tb := wideRandomTable(3, 300, 3)
 	kp := MeasureKeyPlan(tb)
 	if !kp.Packable() || !kp.Wide() {
-		t.Fatalf("want wide packable plan, got bits=%d", kp.Bits())
+		t.Fatalf("want wide packable plan, got bits=%d", kp.bits)
 	}
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 1000; trial++ {
 		i, j := rng.Intn(tb.Len()), rng.Intn(tb.Len())
-		hi1, lo1 := kp.PackRow(tb, i)
-		hi2, lo2 := kp.PackRow(tb, j)
+		hi1, lo1 := packRow(kp, tb, i)
+		hi2, lo2 := packRow(kp, tb, j)
 		keyCmp := 0
 		if hi1 != hi2 || lo1 != lo2 {
 			keyCmp = -1
@@ -107,8 +115,8 @@ func TestPlanKeyFromCards(t *testing.T) {
 			t.Fatalf("card width %d = %d, want %d", i, kp.widths[i], w)
 		}
 	}
-	if kp.Bits() != 61 {
-		t.Fatalf("bits = %d, want 61", kp.Bits())
+	if kp.bits != 61 {
+		t.Fatalf("bits = %d, want 61", kp.bits)
 	}
 }
 
@@ -131,7 +139,7 @@ func TestRadixSortMatchesStableOracle(t *testing.T) {
 		tb := randomTable(rng.Int63(), c.n, c.d, c.card)
 		kp := MeasureKeyPlan(tb)
 		if !kp.Packable() {
-			t.Fatalf("case %+v should pack (bits=%d)", c, kp.Bits())
+			t.Fatalf("case %+v should pack (bits=%d)", c, kp.bits)
 		}
 		want := stableSortRef(tb)
 		got := tb.Clone()
@@ -148,7 +156,7 @@ func TestSortFallbackWhenUnpackable(t *testing.T) {
 	// still produce a correctly sorted permutation of the input.
 	tb := wideRandomTable(11, 400, 10)
 	if kp := MeasureKeyPlan(tb); kp.Packable() {
-		t.Fatalf("expected unpackable plan, got %d bits", kp.Bits())
+		t.Fatalf("expected unpackable plan, got %d bits", kp.bits)
 	}
 	before := tb.TotalMeasure()
 	tb.Sort()

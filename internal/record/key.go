@@ -73,9 +73,6 @@ func MeasureKeyPlan(t *Table) KeyPlan {
 	return PlanKeyWidths(widths)
 }
 
-// Bits returns the total packed width in bits.
-func (kp KeyPlan) Bits() int { return kp.bits }
-
 // Cols returns the number of columns the plan covers.
 func (kp KeyPlan) Cols() int { return len(kp.widths) }
 
@@ -100,17 +97,6 @@ func (kp KeyPlan) Union(o KeyPlan) KeyPlan {
 		}
 	}
 	return PlanKeyWidths(widths)
-}
-
-// PackRow packs row i of t (whose first Cols() columns must be covered
-// by the plan) into a [hi, lo] key pair; hi is zero for narrow plans.
-func (kp KeyPlan) PackRow(t *Table, i int) (hi, lo uint64) {
-	base := i * t.D
-	for j, w := range kp.widths {
-		hi = hi<<w | lo>>(64-w)
-		lo = lo<<w | uint64(t.dims[base+j])
-	}
-	return hi, lo
 }
 
 // PackKeys bulk-extracts the packed keys of every row of t into lo

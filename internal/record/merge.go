@@ -119,7 +119,9 @@ func mergeSortedTree(tables []*Table, d, total int, kp KeyPlan, aggregate bool, 
 	out := New(d, total)
 	var lastHi, lastLo uint64
 	have := false
-	lastCombined := false
+	// run folds the duplicates of out's last row once one arrives.
+	var run Run
+	combined := false
 	for {
 		w := lt.Winner()
 		if w < 0 {
@@ -132,12 +134,14 @@ func mergeSortedTree(tables []*Table, d, total int, kp KeyPlan, aggregate bool, 
 			kh = s.hi[s.pos]
 		}
 		if aggregate && have && kh == lastHi && kl == lastLo {
-			out.SetMeas(out.Len()-1, agg.Combine(out.Meas(out.Len()-1), s.t.Meas(s.pos)))
-			lastCombined = true
+			if !combined {
+				run, combined = agg.Start(out, out.Len()-1), true
+			}
+			agg.Add(&run, s.t, s.pos)
 		} else {
-			if lastCombined {
-				out.SetMeas(out.Len()-1, agg.Seal(out.Meas(out.Len()-1)))
-				lastCombined = false
+			if combined {
+				out.SetRun(out.Len()-1, &run)
+				combined = false
 			}
 			out.AppendFrom(s.t, s.pos)
 			lastHi, lastLo, have = kh, kl, true
@@ -151,8 +155,8 @@ func mergeSortedTree(tables []*Table, d, total int, kp KeyPlan, aggregate bool, 
 		}
 		lt.Fix()
 	}
-	if lastCombined {
-		out.SetMeas(out.Len()-1, agg.Seal(out.Meas(out.Len()-1)))
+	if combined {
+		out.SetRun(out.Len()-1, &run)
 	}
 	return out
 }
@@ -169,18 +173,21 @@ func mergeSortedHeap(tables []*Table, d, total int, aggregate bool, agg Agg) *Ta
 		}
 	}
 	heap.Init(&h)
-	lastCombined := false
+	var run Run
+	combined := false
 	for !h.empty() {
 		it := h.peek()
 		row := it.t
 		pos := it.pos
 		if aggregate && out.Len() > 0 && CompareTables(out, out.Len()-1, row, pos, d) == 0 {
-			out.SetMeas(out.Len()-1, agg.Combine(out.Meas(out.Len()-1), row.Meas(pos)))
-			lastCombined = true
+			if !combined {
+				run, combined = agg.Start(out, out.Len()-1), true
+			}
+			agg.Add(&run, row, pos)
 		} else {
-			if lastCombined {
-				out.SetMeas(out.Len()-1, agg.Seal(out.Meas(out.Len()-1)))
-				lastCombined = false
+			if combined {
+				out.SetRun(out.Len()-1, &run)
+				combined = false
 			}
 			out.AppendFrom(row, pos)
 		}
@@ -190,8 +197,8 @@ func mergeSortedHeap(tables []*Table, d, total int, aggregate bool, agg Agg) *Ta
 			heap.Fix(&h, 0)
 		}
 	}
-	if lastCombined {
-		out.SetMeas(out.Len()-1, agg.Seal(out.Meas(out.Len()-1)))
+	if combined {
+		out.SetRun(out.Len()-1, &run)
 	}
 	return out
 }

@@ -165,6 +165,13 @@ func (t *Table) applyPermutation(perm []uint32, sc *sortScratch) {
 	}
 	sc.dims, t.dims = t.dims[:0], dims
 	sc.meas, t.meas = t.meas[:0], meas
+	if t.state != nil {
+		state := make([][]byte, n)
+		for i, p := range perm {
+			state[i] = t.state[p]
+		}
+		t.state = state
+	}
 }
 
 // ApplyPermutation reorders t so that new row i is old row perm[i].

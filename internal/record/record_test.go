@@ -34,10 +34,6 @@ func TestAppendAndAccessors(t *testing.T) {
 	if got := tb.Bytes(); got != 2*RowBytes(3) {
 		t.Fatalf("Bytes = %d, want %d", got, 2*RowBytes(3))
 	}
-	tb.AddMeas(0, 5)
-	if tb.Meas(0) != 15 {
-		t.Fatalf("AddMeas: got %d, want 15", tb.Meas(0))
-	}
 	tb.SetMeas(0, 7)
 	if tb.Meas(0) != 7 {
 		t.Fatalf("SetMeas: got %d, want 7", tb.Meas(0))

@@ -58,6 +58,9 @@ func FilterProjectAggregate(t *Table, bounds []ColRange, cols []int, agg Agg) (*
 				dims[k*len(cols)+j] = t.dims[i*t.D+c]
 			}
 			meas[k] = t.meas[i]
+			if t.state != nil {
+				proj.SetState(k, t.state[i])
+			}
 		}
 		return SortAggregateAgg(proj, agg), kept
 	}
@@ -65,28 +68,25 @@ func FilterProjectAggregate(t *Table, bounds []ColRange, cols []int, agg Agg) (*
 	if kept == 0 {
 		return out, 0
 	}
-	emit := func(start int, acc int64, combined bool) {
+	emit := func(start int, run *Run) {
 		base := start * t.D
 		for _, c := range cols {
 			out.dims = append(out.dims, t.dims[base+c])
 		}
-		if combined {
-			acc = agg.Seal(acc)
-		}
-		out.meas = append(out.meas, acc)
+		out.push(run)
 	}
 	start := row(0)
-	acc, combined := t.meas[start], false
+	run := agg.Start(t, start)
 	for k := 1; k < kept; k++ {
 		i := row(k)
 		if t.Compare(start, i, len(cols)) == 0 {
-			acc, combined = agg.Combine(acc, t.meas[i]), true
+			agg.Add(&run, t, i)
 			continue
 		}
-		emit(start, acc, combined)
-		start, acc, combined = i, t.meas[i], false
+		emit(start, &run)
+		start, run = i, agg.Start(t, i)
 	}
-	emit(start, acc, combined)
+	emit(start, &run)
 	if !identity {
 		out.Sort()
 	}

@@ -1,6 +1,7 @@
 package record
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,64 +10,55 @@ import (
 )
 
 // setCombiner is a holistic state combiner whose state is the exact set
-// of raw values a group absorbed: order-free, so two aggregation paths
-// agree exactly when they put the same values in the same groups.
-type setCombiner struct {
-	sets   map[int64]map[int64]bool
-	sealed map[int64]bool
-	next   int64
-}
+// of raw values a group absorbed, sealed as the sorted values: order-free,
+// so two aggregation paths agree exactly when they put the same values
+// in the same groups.
+type setCombiner struct{}
 
-func newSetCombiner() *setCombiner {
-	return &setCombiner{sets: map[int64]map[int64]bool{}, sealed: map[int64]bool{}, next: -1}
-}
+type setAcc map[int64]bool
 
-func (c *setCombiner) elems(x int64) map[int64]bool {
-	if x >= 0 {
-		return map[int64]bool{x: true}
+func (setCombiner) Open() Accumulator { return setAcc{} }
+
+func (a setAcc) Absorb(meas int64, blob []byte) {
+	for v := range setElems(meas, blob) {
+		a[v] = true
 	}
-	return c.sets[x]
 }
 
-func (c *setCombiner) Combine(a, b int64) int64 {
-	if a < 0 && !c.sealed[a] {
-		for v := range c.elems(b) {
-			c.sets[a][v] = true
-		}
-		return a
+func (a setAcc) Seal() []byte {
+	vals := make([]int64, 0, len(a))
+	for v := range a {
+		vals = append(vals, v)
 	}
-	h := c.next
-	c.next--
-	c.sets[h] = map[int64]bool{}
-	for _, x := range []int64{a, b} {
-		for v := range c.elems(x) {
-			c.sets[h][v] = true
-		}
+	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	b := []byte{}
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
-	return h
+	return b
 }
 
-func (c *setCombiner) Seal(h int64) int64 {
-	if h < 0 {
-		c.sealed[h] = true
+// setElems returns the value set of a row: its raw word, or its blob's.
+func setElems(meas int64, blob []byte) map[int64]bool {
+	if blob == nil {
+		return map[int64]bool{meas: true}
 	}
-	return h
+	set := map[int64]bool{}
+	for ; len(blob) >= 8; blob = blob[8:] {
+		set[int64(binary.LittleEndian.Uint64(blob))] = true
+	}
+	return set
 }
-
-func (c *setCombiner) StateBytes(h int64) int { return 8 * len(c.elems(h)) }
 
 // resolve renders each output row as its key and its measure's value
-// set, failing on an unsealed accumulator.
-func (c *setCombiner) resolve(t *testing.T, out *Table) []string {
+// set.
+func (c setCombiner) resolve(t *testing.T, out *Table) []string {
 	t.Helper()
 	var rows []string
 	for i := 0; i < out.Len(); i++ {
 		m := out.Meas(i)
-		if m < 0 && !c.sealed[m] {
-			t.Fatalf("row %d carries an unsealed accumulator", i)
-		}
 		var vals []int64
-		for v := range c.elems(m) {
+		for v := range setElems(m, out.State(i)) {
 			vals = append(vals, v)
 		}
 		sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
@@ -96,6 +88,7 @@ func naiveFilterProjectAggregate(t *Table, bounds []ColRange, cols []int, agg Ag
 			key[k] = t.Dim(i, c)
 		}
 		proj.Append(key, t.Meas(i))
+		proj.SetState(proj.Len()-1, t.State(i))
 	}
 	return SortAggregateAgg(proj, agg), proj.Len()
 }
@@ -134,10 +127,10 @@ func TestFilterProjectAggregateMatchesNaive(t *testing.T) {
 					trial, op, bounds, cols, got, kept, want, wantKept)
 			}
 		}
-		gc, wc := newSetCombiner(), newSetCombiner()
-		got, _ := FilterProjectAggregate(win, bounds, cols, Agg{Op: OpDistinct, State: gc})
-		want, _ := naiveFilterProjectAggregate(win, bounds, cols, Agg{Op: OpDistinct, State: wc})
-		if g, w := gc.resolve(t, got), wc.resolve(t, want); !reflect.DeepEqual(g, w) {
+		var sc setCombiner
+		got, _ := FilterProjectAggregate(win, bounds, cols, Agg{Op: OpDistinct, State: sc})
+		want, _ := naiveFilterProjectAggregate(win, bounds, cols, Agg{Op: OpDistinct, State: sc})
+		if g, w := sc.resolve(t, got), sc.resolve(t, want); !reflect.DeepEqual(g, w) {
 			t.Fatalf("trial %d holistic bounds %v cols %v: got %v, want %v", trial, bounds, cols, g, w)
 		}
 	}

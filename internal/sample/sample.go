@@ -86,9 +86,6 @@ func (s *Online) Len() int { return s.n }
 // Size returns the number of retained sample keys.
 func (s *Online) Size() int { return s.size }
 
-// Stride returns the spacing between retained keys.
-func (s *Online) Stride() int { return s.stride }
-
 // EstimateRank estimates how many observed keys are <= key (prefix
 // comparison on min(len(key), len(sample key)) columns). The estimate
 // is exact while the stride is 1 and within one stride otherwise.

@@ -13,8 +13,8 @@ func TestExactWhileSmall(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s.Add([]uint32{uint32(i)})
 	}
-	if s.Stride() != 1 || s.Size() != 50 || s.Len() != 50 {
-		t.Fatalf("stride=%d size=%d len=%d", s.Stride(), s.Size(), s.Len())
+	if s.stride != 1 || s.Size() != 50 || s.Len() != 50 {
+		t.Fatalf("stride=%d size=%d len=%d", s.stride, s.Size(), s.Len())
 	}
 	for i := 0; i < 50; i++ {
 		if got := s.EstimateRank([]uint32{uint32(i)}); got != i+1 {
@@ -41,8 +41,8 @@ func TestCompactionKeepsSpacing(t *testing.T) {
 	// Estimation error bounded by stride.
 	for _, q := range []int{0, 100, 500, 999} {
 		got := s.EstimateRank([]uint32{uint32(q)})
-		if got < q+1-s.Stride() || got > q+1+s.Stride() {
-			t.Fatalf("rank(%d) = %d (stride %d)", q, got, s.Stride())
+		if got < q+1-s.stride || got > q+1+s.stride {
+			t.Fatalf("rank(%d) = %d (stride %d)", q, got, s.stride)
 		}
 	}
 }
@@ -152,13 +152,13 @@ func TestFlatLayoutMatchesPerKeyLayout(t *testing.T) {
 		for i := 0; i < c.n; i++ {
 			s.Add(tb.Row(i))
 			ref.add(tb.Row(i))
-			if s.Size() != len(ref.keys) || s.Stride() != ref.stride {
+			if s.Size() != len(ref.keys) || s.stride != ref.stride {
 				t.Fatalf("%+v after %d keys: size %d stride %d, per-key layout %d, %d",
-					c, i+1, s.Size(), s.Stride(), len(ref.keys), ref.stride)
+					c, i+1, s.Size(), s.stride, len(ref.keys), ref.stride)
 			}
 		}
-		if c.n > c.capacity && s.Stride() < 4 {
-			t.Fatalf("%+v: stride %d, want several halvings", c, s.Stride())
+		if c.n > c.capacity && s.stride < 4 {
+			t.Fatalf("%+v: stride %d, want several halvings", c, s.stride)
 		}
 		for k := 0; k < 200; k++ {
 			probe := make([]uint32, rng.Intn(c.width+1))
@@ -220,7 +220,7 @@ func TestQuickErrorWithinStride(t *testing.T) {
 				}
 			}
 			got := s.EstimateRank([]uint32{probe})
-			if got < truth-s.Stride() || got > truth+s.Stride() {
+			if got < truth-s.stride || got > truth+s.stride {
 				return false
 			}
 		}

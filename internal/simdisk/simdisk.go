@@ -31,12 +31,6 @@ type Stats struct {
 	BytesWritten int64
 }
 
-// BlockTransfers returns the total number of block transfers implied by
-// the byte counts, using block size b.
-func (s Stats) BlockTransfers(b int) int64 {
-	return (s.BytesRead+int64(b)-1)/int64(b) + (s.BytesWritten+int64(b)-1)/int64(b)
-}
-
 // file is one stored view slice plus its uncharged metadata (e.g. the
 // online spaced sample captured while the file was written, §2.4). The
 // payload sits behind colstore.Store: freshly written files are
@@ -335,6 +329,19 @@ func (d *Disk) StoredBytes(name string) int {
 	return f.st.Bytes()
 }
 
+// StateBytes returns the size of the sketch blobs the named file
+// holds (0 for algebraic files and absent ones), without charging I/O.
+func (d *Disk) StateBytes(name string) int {
+	f, ok := d.files[name]
+	if !ok {
+		return 0
+	}
+	if s := f.slice(); s != nil {
+		return s.StateBytes()
+	}
+	return f.st.Table().StateBytes()
+}
+
 // Cols returns the column count of the named file without charging I/O
 // (metadata access), or -1 if it does not exist.
 func (d *Disk) Cols(name string) int {
@@ -422,14 +429,4 @@ func (d *Disk) DecodedBytes() int64 {
 		}
 	}
 	return n
-}
-
-// TotalBytes returns the total modelled size of all files on the disk,
-// counting sealed files at their compressed size.
-func (d *Disk) TotalBytes() int64 {
-	var s int64
-	for _, f := range d.files {
-		s += int64(f.st.Bytes())
-	}
-	return s
 }

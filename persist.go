@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/colstore"
@@ -30,7 +28,8 @@ import (
 // sections, so Save and LoadCube hold one view's message at a time.
 // Each view is its per-rank columnar compressed slices
 // (internal/colstore), placed on their ranks at load with no decode and
-// no re-cut. There is one format; Version exists so a loader can refuse
+// no re-cut; a holistic cube's sketch blobs are the slices' state
+// column, so they travel inside them. There is one format; Version exists so a loader can refuse
 // anything else (ErrUnsupportedSnapshot).
 type savedCube struct {
 	Version    int
@@ -46,18 +45,6 @@ type savedCube struct {
 	MinSupport  int64
 	PendingDims []uint32
 	PendingMeas []int64
-
-	// Holistic sketch section (CountDistinct / Quantile cubes): the
-	// store's parameters (the loader takes the kind from Op) plus every
-	// sealed sketch blob referenced by a saved view measure. The measure
-	// words in the saved views are sketch handles and stay valid verbatim
-	// because Import reinstalls each blob at the exact slot it was
-	// exported from. Sums[i] is Blobs[i]'s FNV-1a checksum, verified at
-	// load. Absent (zero) on algebraic cubes.
-	SketchConfig  sketch.Config
-	SketchHandles []int64
-	SketchBlobs   [][]byte
-	SketchSums    []uint64
 
 	// state and views are what encode writes as State and as the
 	// sections after the header message.
@@ -86,10 +73,10 @@ type savedView struct {
 }
 
 // savedCubeVersion is the only snapshot format written and read.
-const savedCubeVersion = 4
+const savedCubeVersion = 5
 
 // ErrUnsupportedSnapshot is wrapped by LoadCube's error when the
-// stream decodes but is not a format-4 snapshot.
+// stream decodes but is not a format-5 snapshot.
 var ErrUnsupportedSnapshot = errors.New("rolap: unsupported snapshot version")
 
 // Save serializes the cube (schema, dictionaries, metrics, every
@@ -108,9 +95,8 @@ func (c *Cube) Save(w io.Writer) error {
 }
 
 // capture copies what a snapshot needs while the caller holds ingMu:
-// the header, the pending buffer, the sketch section and each view's
-// per-rank sealed slice references. It decodes nothing; a holistic
-// cube's handles come from each slice's measure column. Replica
+// the header, the pending buffer and each view's per-rank sealed slice
+// references. It decodes nothing. Replica
 // bootstraps pass includePending=false: buffered facts reach replicas
 // later in a shipped batch and must not be counted twice.
 func (c *Cube) capture(includePending bool) *savedCube {
@@ -123,7 +109,6 @@ func (c *Cube) capture(includePending bool) *savedCube {
 		MinSupport: c.opts.MinSupport,
 		state:      savedState{Metrics: c.Metrics()},
 	}
-	handleSet := map[int64]bool{}
 	// One maintenance section across every view: holding ingMu alone is
 	// not enough, because the per-view captures would otherwise
 	// interleave with an engine-level slice replacement.
@@ -147,31 +132,12 @@ func (c *Cube) capture(includePending bool) *savedCube {
 				s, _ := disk.GetSlice(name)
 				sv.Ranks = append(sv.Ranks, r)
 				sv.Slices = append(sv.Slices, s)
-				for i := 0; c.sketch != nil && i < s.Len(); i++ {
-					if m := s.Meas(i); m < 0 {
-						handleSet[m] = true
-					}
-				}
 			}
 			sc.views = append(sc.views, sv)
 		}
 		return nil
 	})
 	sc.NumViews = len(sc.views)
-	if c.sketch != nil {
-		sc.SketchConfig = c.sketch.Config()
-		handles := make([]int64, 0, len(handleSet))
-		for h := range handleSet {
-			handles = append(handles, h)
-		}
-		sort.Slice(handles, func(i, j int) bool { return handles[i] < handles[j] })
-		sc.SketchHandles = handles
-		sc.SketchBlobs = c.sketch.Export(handles)
-		sc.SketchSums = make([]uint64, len(handles))
-		for i, b := range sc.SketchBlobs {
-			sc.SketchSums[i] = blobSum(b)
-		}
-	}
 	return sc
 }
 
@@ -199,14 +165,6 @@ func (sc *savedCube) encode(w io.Writer) error {
 	return nil
 }
 
-// blobSum is the FNV-1a checksum persisted alongside each sketch blob:
-// structural decode alone cannot catch a flipped payload bit.
-func blobSum(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
-
 // LoadCube deserializes a cube written by Save and rehydrates the full
 // query-side state the original had: every view slice is validated and
 // placed on its saved rank of a simulated machine of the saved size
@@ -217,7 +175,7 @@ func blobSum(b []byte) uint64 {
 // RangeAggregate exactly like the original and (unless it is an
 // iceberg cube) accepts Ingest.
 //
-// The stream is untrusted: anything but a format-4 snapshot is
+// The stream is untrusted: anything but a format-5 snapshot is
 // rejected with ErrUnsupportedSnapshot, damaged blocks with an error
 // wrapping colstore.ErrCorrupt, and inconsistent metadata or missing
 // sections with a plain error — never a panic, never a partial cube.
@@ -277,28 +235,6 @@ func LoadCube(r io.Reader) (*Cube, error) {
 	default:
 		return nil, fmt.Errorf("rolap: corrupt snapshot: unknown aggregate %d", sc.Op)
 	}
-	if c.op.Holistic() {
-		if len(sc.SketchHandles) != len(sc.SketchBlobs) || len(sc.SketchHandles) != len(sc.SketchSums) {
-			return nil, fmt.Errorf("rolap: corrupt sketch section: %d handles, %d blobs, %d checksums",
-				len(sc.SketchHandles), len(sc.SketchBlobs), len(sc.SketchSums))
-		}
-		for i, b := range sc.SketchBlobs {
-			if blobSum(b) != sc.SketchSums[i] {
-				return nil, fmt.Errorf("rolap: sketch blob for handle %d: checksum mismatch", sc.SketchHandles[i])
-			}
-		}
-		cfg := sc.SketchConfig
-		cfg.Kind = c.opts.Aggregate.sketchKind()
-		st := sketch.NewStore(cfg)
-		if err := st.Import(sc.SketchHandles, sc.SketchBlobs); err != nil {
-			return nil, fmt.Errorf("rolap: %w", err)
-		}
-		c.sketch = st
-		c.opts.SketchExactThreshold = cfg.ExactThreshold
-		c.opts.SketchMaxBuckets = cfg.MaxBuckets
-		c.opts.SketchArenaBudget = cfg.ArenaBudget
-	}
-
 	if len(sc.PendingDims) != len(sc.PendingMeas)*d {
 		return nil, fmt.Errorf("rolap: corrupt saved pending buffer")
 	}
@@ -341,6 +277,9 @@ func LoadCube(r io.Reader) (*Cube, error) {
 			if s.Checksum() != sv.Sums[i] {
 				return nil, fmt.Errorf("rolap: saved view %v block %d: %w: checksum mismatch", v, i, colstore.ErrCorrupt)
 			}
+			if err := checkState(c.op, s); err != nil {
+				return nil, fmt.Errorf("rolap: saved view %v block %d: %w", v, i, err)
+			}
 			if s.D() != len(order) {
 				return nil, fmt.Errorf("rolap: corrupt saved view %v: slice has %d columns, order has %d", v, s.D(), len(order))
 			}
@@ -358,11 +297,31 @@ func LoadCube(r io.Reader) (*Cube, error) {
 	}
 
 	c.engine = queryengine.New(m, c.orders, rows, c.op)
-	if c.sketch != nil {
-		c.engine.SetSketch(c.sketch)
-	}
 	c.engine.RestoreVersions(st.ViewVersions)
 	return c, nil
+}
+
+// checkState validates a loaded slice's state column: an algebraic
+// cube has none, and each blob of a holistic one must decode as a
+// sketch of the cube's kind. It reads the blobs in place; the slice
+// stays undecoded.
+func checkState(op record.AggOp, s *colstore.Slice) error {
+	if s.StateEnds == nil {
+		return nil
+	}
+	if !op.Holistic() {
+		return fmt.Errorf("%w: sketch state in a %v cube", colstore.ErrCorrupt, op)
+	}
+	from := uint32(0)
+	for row, to := range s.StateEnds {
+		if to > from {
+			if err := sketch.Check(op, s.State[from:to]); err != nil {
+				return fmt.Errorf("%w: row %d: %v", colstore.ErrCorrupt, row, err)
+			}
+			from = to
+		}
+	}
+	return nil
 }
 
 // isPermutationOf reports whether o lists each dimension of v exactly

@@ -42,7 +42,6 @@ import (
 	"repro/internal/partialcube"
 	"repro/internal/queryengine"
 	"repro/internal/record"
-	"repro/internal/sketch"
 )
 
 // Dimension is one dimension of the fact table. Values of the
@@ -192,14 +191,6 @@ func (a Aggregate) Holistic() bool { return a.op().Holistic() }
 // (CountDistinct or Quantile): every measure it serves is an estimate.
 func (c *Cube) Holistic() bool { return c.op.Holistic() }
 
-// sketchKind maps a holistic aggregate to its sketch type.
-func (a Aggregate) sketchKind() sketch.Kind {
-	if a == Quantile {
-		return sketch.KindQuantile
-	}
-	return sketch.KindDistinct
-}
-
 // Hardware selects the cost model of the simulated cluster.
 type Hardware int
 
@@ -242,18 +233,6 @@ type Options struct {
 	FlajoletMartin bool
 	// Aggregate selects the measure combiner (default Sum).
 	Aggregate Aggregate
-	// SketchArenaBudget bounds the decoded-sketch arena of a holistic
-	// build in bytes (default 1 MiB): sealed per-group sketches beyond
-	// the budget are spilled to their serialized form and reloaded on
-	// demand, so builds whose total sketch state exceeds memory still
-	// complete in bounded passes. Ignored for algebraic aggregates.
-	SketchArenaBudget int
-	// SketchExactThreshold overrides the distinct sketch's exact-mode
-	// cutoff and SketchMaxBuckets the quantile sketch's bucket bound
-	// (defaults sketch.DefaultExactThreshold / DefaultMaxBuckets; for
-	// experiments).
-	SketchExactThreshold int
-	SketchMaxBuckets     int
 	// MinSupport, when > 0, builds an iceberg cube: only groups whose
 	// aggregate reaches the threshold are materialized.
 	MinSupport int64
@@ -295,9 +274,6 @@ type Cube struct {
 	// engine serves every query where the slices live; Build and
 	// LoadCube both wire it.
 	engine *queryengine.Engine
-	// sketch backs holistic aggregates: view measures are handles into
-	// it. Nil for algebraic cubes.
-	sketch *sketch.Store
 
 	// opts keeps the build configuration so incremental batches reuse
 	// the same thresholds, overlap mode, and aggregate operator.
@@ -323,6 +299,12 @@ type Cube struct {
 	// metMu guards metrics, which ingest updates in place.
 	metMu sync.RWMutex
 }
+
+// negativeHolistic is why Build and Ingest reject a negative fact of a
+// holistic cube: the sketches take measure values as unsigned
+// magnitudes, so a negative value would land in the wrong bucket or
+// count as a huge one.
+const negativeHolistic = "holistic aggregates require non-negative measures (the sketches read values as unsigned magnitudes)"
 
 // maxProcessors bounds the simulated machine size Build and LoadCube
 // accept.
@@ -368,22 +350,15 @@ func Build(in *Input, opts Options) (_ *Cube, err error) {
 		}
 	}
 
-	var st *sketch.Store
 	if opts.Aggregate.Holistic() {
 		if opts.MinSupport > 0 {
 			return nil, fmt.Errorf("rolap: iceberg cubes are not supported with holistic aggregates (group state is a sketch, not a comparable total)")
 		}
 		for i := 0; i < in.table.Len(); i++ {
 			if in.table.Meas(i) < 0 {
-				return nil, fmt.Errorf("rolap: negative measure %d at fact %d: holistic aggregates require non-negative measures (negative values are reserved for sketch handles)", in.table.Meas(i), i)
+				return nil, fmt.Errorf("rolap: negative measure %d at fact %d: %s", in.table.Meas(i), i, negativeHolistic)
 			}
 		}
-		st = sketch.NewStore(sketch.Config{
-			Kind:           opts.Aggregate.sketchKind(),
-			ArenaBudget:    opts.SketchArenaBudget,
-			ExactThreshold: opts.SketchExactThreshold,
-			MaxBuckets:     opts.SketchMaxBuckets,
-		})
 	}
 
 	m := cluster.New(p, opts.Hardware.params())
@@ -400,7 +375,6 @@ func Build(in *Input, opts Options) (_ *Cube, err error) {
 		Gamma:       opts.Gamma,
 		MergeGamma:  opts.MergeGamma,
 		Agg:         opts.Aggregate.op(),
-		Sketch:      st,
 		Cards:       in.cards(),
 		MinSupport:  opts.MinSupport,
 		OverlapComm: opts.OverlapComm,
@@ -443,9 +417,6 @@ func Build(in *Input, opts Options) (_ *Cube, err error) {
 	m.SetFaults(nil)
 	opts.Processors = p
 	engine := queryengine.New(m, met.ViewOrders, met.ViewRows, opts.Aggregate.op())
-	if st != nil {
-		engine.SetSketch(st)
-	}
 	return &Cube{
 		in:      in,
 		machine: m,
@@ -454,7 +425,6 @@ func Build(in *Input, opts Options) (_ *Cube, err error) {
 		metrics: publicMetrics(in, met),
 		op:      opts.Aggregate.op(),
 		engine:  engine,
-		sketch:  st,
 		opts:    opts,
 		trees:   met.SchedTrees,
 		pending: record.New(d, 0),

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lattice"
 	"repro/internal/record"
+	"repro/internal/sketch"
 )
 
 // View is one materialized group-by, gathered from the processors'
@@ -87,15 +88,13 @@ func (c *Cube) View(dims []string) (*View, error) {
 // does not pick one (the median).
 const defaultPercentile = 0.5
 
-// resolveView replaces sketch handles with served estimates in a
-// gathered view (whose rows are the gather's private copy).
+// resolveView replaces each group's sketch with its served estimate in
+// a gathered view (whose rows are the gather's private copy).
 func (c *Cube) resolveView(vw *View, q float64) *View {
-	if c.sketch == nil {
+	if !c.op.Holistic() {
 		return vw
 	}
-	for i := 0; i < vw.rows.Len(); i++ {
-		vw.rows.SetMeas(i, c.sketch.EstimateMeasure(vw.rows.Meas(i), q))
-	}
+	sketch.Resolve(c.op, vw.rows, q)
 	vw.Estimated = true
 	return vw
 }
