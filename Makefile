@@ -33,8 +33,9 @@ race:
 
 # AggOp / sketch-kind exhaustiveness guard: a new aggregate operator
 # must be wired through every serve/merge switch (public enum,
-# snapshot load, sketch store dispatch) or it silently degrades. Grep
-# the cross-package switches, vet, and run the record-level guard test.
+# snapshot load) and a new sketch kind through the sketch constructor
+# and blob decoder, or it silently degrades. Grep the cross-package
+# switches, vet, and run the record-level guard test.
 lint-aggop:
 	./scripts/lint_aggop.sh
 

@@ -2,6 +2,7 @@ package rolap
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -16,6 +17,32 @@ type CSVOptions struct {
 	// other columns become dimensions. If the named column is absent,
 	// every row gets measure 1 (COUNT semantics).
 	MeasureColumn string
+}
+
+// ErrCSVHeader is wrapped by LoadCSV's and IngestCSV's error when the
+// header cannot be read as one measure column plus dimensions: it
+// names the measure column twice, or (LoadCSV) it is a holistic
+// view's header, whose estimate column is not a dimension.
+var ErrCSVHeader = errors.New("rolap: ambiguous CSV header")
+
+// estimateColumn is the measure column View.WriteCSV writes for a
+// holistic view: its values are estimates served from sketches.
+const estimateColumn = "measure_estimate"
+
+// measureColumn returns the index of the measure column in header (-1
+// if absent), rejecting a header that names it twice.
+func measureColumn(header []string, name string) (int, error) {
+	col := -1
+	for c, h := range header {
+		if h != name {
+			continue
+		}
+		if col >= 0 {
+			return -1, fmt.Errorf("%w: measure column %q is columns %d and %d", ErrCSVHeader, name, col+1, c+1)
+		}
+		col = c
+	}
+	return col, nil
 }
 
 // LoadCSV reads a fact table from CSV. The first record is the
@@ -40,13 +67,21 @@ func LoadCSV(r io.Reader, opts CSVOptions) (*Input, error) {
 	if measureName == "" {
 		measureName = "measure"
 	}
-	measCol := -1
+	measCol, err := measureColumn(header, measureName)
+	if err != nil {
+		return nil, err
+	}
 	var dimNames []string
 	var dimCols []int
 	for c, name := range header {
-		if name == measureName && measCol == -1 {
-			measCol = c
+		if c == measCol {
 			continue
+		}
+		if name == estimateColumn {
+			// A holistic view written by WriteCSV: its estimates are a
+			// measure only if the caller says so.
+			return nil, fmt.Errorf("%w: column %q holds a holistic view's estimates; set CSVOptions.MeasureColumn to %q to load them as the measure",
+				ErrCSVHeader, name, name)
 		}
 		dimNames = append(dimNames, name)
 		dimCols = append(dimCols, c)
@@ -182,12 +217,14 @@ func (c *Cube) IngestCSV(r io.Reader, opts CSVOptions) (IngestMetrics, error) {
 	if measureName == "" {
 		measureName = "measure"
 	}
-	measCol := -1
+	measCol, err := measureColumn(header, measureName)
+	if err != nil {
+		return IngestMetrics{}, err
+	}
 	colDim := make([]int, len(header)) // column -> user dimension index, -1 for measure
 	seen := make([]bool, len(in.schema.Dimensions))
 	for col, name := range header {
-		if name == measureName && measCol == -1 {
-			measCol = col
+		if col == measCol {
 			colDim[col] = -1
 			continue
 		}
@@ -287,7 +324,7 @@ func (v *View) WriteCSV(w io.Writer, in *Input) error {
 	// than passing them off as exact totals.
 	measName := "measure"
 	if v.Estimated {
-		measName = "measure_estimate"
+		measName = estimateColumn
 	}
 	header := append(append([]string{}, v.Attributes...), measName)
 	if err := cw.Write(header); err != nil {

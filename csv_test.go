@@ -2,6 +2,7 @@ package rolap
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -295,8 +296,88 @@ func FuzzLoadCSV(f *testing.F) {
 		if (cube == nil) == (err == nil) {
 			t.Fatalf("Build returned cube %v and error %v", cube != nil, err)
 		}
-		if cube != nil {
-			_, _ = cube.IngestCSV(bytes.NewReader(data), CSVOptions{})
+		if cube == nil {
+			return
 		}
+		// The finest view, written and loaded back, is the same
+		// relation: its grand total is the input's.
+		var names []string
+		for _, d := range in.Schema().Dimensions {
+			names = append(names, d.Name)
+		}
+		vw, err := cube.View(names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := vw.WriteCSV(&out, in); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadCSV(&out, CSVOptions{})
+		if err != nil {
+			t.Fatalf("loading the written view back: %v", err)
+		}
+		if got, want := back.table.TotalMeasure(), in.table.TotalMeasure(); got != want {
+			t.Fatalf("grand total %d after WriteCSV -> LoadCSV, want %d", got, want)
+		}
+		_, _ = cube.IngestCSV(bytes.NewReader(data), CSVOptions{})
 	})
+}
+
+// TestCSVRejectsRepeatedMeasureColumn: a header naming the measure
+// column twice is ambiguous. Taking the second as a dimension called
+// "measure" made WriteCSV emit it before the measure under the same
+// name, so a round trip swapped the two columns.
+func TestCSVRejectsRepeatedMeasureColumn(t *testing.T) {
+	const data = "region,measure,measure\neast,7,2\nwest,9,3\n"
+	if _, err := LoadCSV(strings.NewReader(data), CSVOptions{}); !errors.Is(err, ErrCSVHeader) {
+		t.Fatalf("LoadCSV: error %v, want ErrCSVHeader", err)
+	}
+	in, err := LoadCSV(strings.NewReader(salesCSV), CSVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cube, err := Build(in, Options{Processors: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := "region,product,quarter,measure,measure\neast,widget,Q1,5,6\n"
+	if _, err := cube.IngestCSV(strings.NewReader(batch), CSVOptions{}); !errors.Is(err, ErrCSVHeader) {
+		t.Fatalf("IngestCSV: error %v, want ErrCSVHeader", err)
+	}
+}
+
+// TestLoadCSVEstimateHeader pins how LoadCSV reads a holistic view's
+// WriteCSV output: the estimate column is not silently a dimension of
+// a COUNT cube — the header is rejected unless MeasureColumn names it,
+// and then the estimates load as the measure.
+func TestLoadCSVEstimateHeader(t *testing.T) {
+	rows, meas := holisticFacts(300, 5)
+	cube := buildHolisticCube(t, rows, meas, CountDistinct)
+	vw, err := cube.View([]string{"channel"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := vw.WriteCSV(&out, cube.in); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCSV(bytes.NewReader(out.Bytes()), CSVOptions{}); !errors.Is(err, ErrCSVHeader) {
+		t.Fatalf("LoadCSV of %q: error %v, want ErrCSVHeader", out.String(), err)
+	}
+	in, err := LoadCSV(bytes.NewReader(out.Bytes()), CSVOptions{MeasureColumn: "measure_estimate"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dims := in.Schema().Dimensions; len(dims) != 1 || dims[0].Name != "channel" {
+		t.Fatalf("loaded dimensions %v, want [channel]", dims)
+	}
+	var want int64
+	for i := 0; i < vw.Len(); i++ {
+		_, m := vw.Row(i)
+		want += m
+	}
+	if got := in.table.TotalMeasure(); got != want {
+		t.Fatalf("loaded estimates total %d, want %d", got, want)
+	}
 }

@@ -1,6 +1,6 @@
 // Package replica implements the replicated serving tier that splits
 // the read path off the ingest leader: N cube replicas, each
-// bootstrapped from a snapshot of the leader (the format-4 section
+// bootstrapped from a snapshot of the leader (the format-5 section
 // stream rolap's Save writes) and advanced by applying the leader's
 // committed ingest batches in commit order.
 // Because the delta pipeline is deterministic and snapshots re-scatter

@@ -32,13 +32,23 @@ for op in $ops; do
   done
 done
 
-# Every sketch kind must be dispatched by the store's constructor and
-# decoder switches, or holistic state of that kind cannot round-trip.
+# Every sketch kind must be dispatched by the sketch constructor and
+# the blob decoder (internal/sketch/agg.go), or holistic state of that
+# kind cannot be opened or read back from a slice's state column.
 kinds=$(grep -o 'Kind[A-Z][A-Za-z]*' internal/sketch/sketch.go | sort -u)
+if [ -z "$kinds" ]; then
+  echo "lint-aggop: could not extract sketch kinds from internal/sketch/sketch.go" >&2
+  exit 1
+fi
 for kind in $kinds; do
-  for fn in newSketch decodeBlob; do
-    if ! sed -n "/func (s \*Store) $fn/,/^}/p" internal/sketch/store.go | grep -q "$kind\b"; then
-      echo "lint-aggop: sketch.$kind missing from Store.$fn" >&2
+  for fn in newSketch decode; do
+    body=$(sed -n "/^func $fn(/,/^}/p" internal/sketch/agg.go)
+    if [ -z "$body" ]; then
+      echo "lint-aggop: func $fn not found in internal/sketch/agg.go" >&2
+      exit 1
+    fi
+    if ! grep -q "$kind\b" <<<"$body"; then
+      echo "lint-aggop: sketch.$kind missing from $fn" >&2
       fail=1
     fi
   done
