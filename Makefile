@@ -4,9 +4,10 @@
 # supersteps and ledger commits, samplesort's collective exchanges,
 # core's crash-recovery restarts, mergepart's collective merge, the query
 # engine's shared execute — concurrent queries scanning rank slices on
-# plain goroutines, racing to build prefix indexes and committing ledgers
-# — and the root package's Cube/Server queries racing ingest and the
-# advisor) and on the packages whose tests run in parallel (record,
+# plain goroutines, loading the published view-set topology while
+# maintenance swaps in a new one, filling its once-only prefix-index
+# slots and committing ledgers — and the root package's Cube/Server
+# queries racing ingest and the advisor) and on the packages whose tests run in parallel (record,
 # extsort, colstore).
 
 GO ?= go

@@ -3,7 +3,6 @@ package rolap
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -186,9 +185,10 @@ func (a *Advisor) planLocked() ([]advisor.Recommendation, map[lattice.ViewID]int
 	a.lastRaw = raw
 	advisor.Decay(a.window, a.opts.DecayFactor, delta)
 
+	t := c.engine.Topology()
 	materialized := map[lattice.ViewID]int64{}
-	for _, v := range c.engine.Views() {
-		materialized[v] = c.engine.Rows(v)
+	for _, v := range t.Views() {
+		materialized[v] = t.Rows(v)
 	}
 	cfg := advisor.Config{
 		D:                  len(c.in.schema.Dimensions),
@@ -208,8 +208,8 @@ func (a *Advisor) planLocked() ([]advisor.Recommendation, map[lattice.ViewID]int
 // execute the recommendations online. It returns the executed
 // actions. Materializations and retirements serialize with Ingest
 // (same lock) and drain in-flight queries (the engine's maintenance
-// barrier); concurrent queries see either the pre- or post-action
-// view set and replan transparently if their planned view retired.
+// barrier); a concurrent query plans against either the pre- or the
+// post-action view set, whichever its execution runs on.
 func (a *Advisor) Step() ([]Recommendation, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -254,9 +254,10 @@ func (a *Advisor) Step() ([]Recommendation, error) {
 func (a *Advisor) finishStep(out []Recommendation) {
 	a.stats.Steps++
 	a.stats.LastStep = out
-	a.stats.CurrentViews = len(a.c.views)
+	views := a.c.engine.Topology().Views()
+	a.stats.CurrentViews = len(views)
 	var bytes int64
-	for _, v := range a.c.views {
+	for _, v := range views {
 		bytes += a.c.viewRowCount(v) * int64(record.RowBytes(v.Count()))
 	}
 	a.stats.StorageBytes = bytes
@@ -305,17 +306,16 @@ func (a *Advisor) publicRec(r advisor.Recommendation) Recommendation {
 // retained schedule tree invalidated so future ingest batches derive
 // a schedule that includes the new view. Caller holds ingMu.
 func (c *Cube) materializeView(v lattice.ViewID) (ingest.MaterializeResult, error) {
-	if _, ok := c.engine.Order(v); ok {
+	// ingMu excludes every other writer of the view set.
+	t := c.engine.Topology()
+	if _, ok := t.Order(v); ok {
 		return ingest.MaterializeResult{}, nil // lost a race; already live
 	}
-	src, err := c.engine.PickSource(v)
+	src, err := t.PickSource(v)
 	if err != nil {
 		return ingest.MaterializeResult{}, fmt.Errorf("rolap: cannot materialize %v: %w", c.sourceViewNames(v), err)
 	}
-	srcOrder, ok := c.engine.Order(src)
-	if !ok {
-		return ingest.MaterializeResult{}, fmt.Errorf("rolap: source view vanished during materialization planning")
-	}
+	srcOrder, _ := t.Order(src)
 	order := lattice.Canonical(v)
 	var res ingest.MaterializeResult
 	var fp footprint
@@ -333,7 +333,7 @@ func (c *Cube) materializeView(v lattice.ViewID) (ingest.MaterializeResult, erro
 		}
 		res = r
 		c.engine.AddView(v, order, r.Rows)
-		c.updateTopology(v, order)
+		c.dropScheduleTree(v)
 		fp = c.footprint()
 		return nil
 	})
@@ -352,11 +352,12 @@ func (c *Cube) retireView(v lattice.ViewID) (bool, error) {
 	retired := false
 	var fp footprint
 	err := c.engine.Maintain(func() error {
-		if _, ok := c.engine.Order(v); !ok {
+		t := c.engine.Topology()
+		if _, ok := t.Order(v); !ok {
 			return nil // already gone
 		}
 		covered := false
-		for _, u := range c.engine.Views() {
+		for _, u := range t.Views() {
 			if u != v && v.SubsetOf(u) {
 				covered = true
 				break
@@ -366,11 +367,11 @@ func (c *Cube) retireView(v lattice.ViewID) (bool, error) {
 			return nil // keep frontier views
 		}
 		// In-flight queries have drained (Maintain holds the machine
-		// lock); plans still holding v fail with ErrStalePlan and
-		// replan, and the version bump invalidates cached results.
+		// lock); later ones plan without v, and the version bump
+		// invalidates cached results.
 		c.engine.RemoveView(v)
 		ingest.RetireView(c.machine, v)
-		c.updateTopology(v, nil)
+		c.dropScheduleTree(v)
 		fp = c.footprint()
 		retired = true
 		return nil
@@ -384,31 +385,13 @@ func (c *Cube) retireView(v lattice.ViewID) (bool, error) {
 	return retired, nil
 }
 
-// updateTopology applies one view add (order non-nil) or remove
-// (order nil) to the cube's own topology maps, and drops the affected
-// partition's retained schedule tree: a stale tree would silently
-// omit the new view from future ingest delta builds (its rows would
+// dropScheduleTree drops the retained schedule tree of view v's
+// partition after v is added or retired: a stale tree would silently
+// omit a new view from future ingest delta builds (its rows would
 // never reach the view), so ingest falls back to the deterministic
-// schedule derived from the live orders. Caller holds ingMu and the
-// engine maintenance lock; gather-path readers synchronize on topoMu.
-func (c *Cube) updateTopology(v lattice.ViewID, order lattice.Order) {
-	d := len(c.in.schema.Dimensions)
-	c.topoMu.Lock()
-	defer c.topoMu.Unlock()
-	if order != nil {
-		c.orders[v] = order
-		c.views = append(c.views, v)
-		sort.Slice(c.views, func(i, j int) bool { return c.views[i] < c.views[j] })
-	} else {
-		delete(c.orders, v)
-		for i, u := range c.views {
-			if u == v {
-				c.views = append(c.views[:i], c.views[i+1:]...)
-				break
-			}
-		}
-	}
-	delete(c.trees, lattice.PartitionOf(v, d))
+// schedule derived from the live orders. Caller holds ingMu.
+func (c *Cube) dropScheduleTree(v lattice.ViewID) {
+	delete(c.trees, lattice.PartitionOf(v, len(c.in.schema.Dimensions)))
 }
 
 // noteViewRows folds one online materialization (rows >= 0) or

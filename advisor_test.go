@@ -63,7 +63,7 @@ func viewLive(c *Cube, dims []string) bool {
 	if err != nil {
 		panic(err)
 	}
-	_, ok := c.engine.Order(v)
+	_, ok := c.engine.Topology().Order(v)
 	return ok
 }
 
@@ -71,7 +71,7 @@ func viewLive(c *Cube, dims []string) bool {
 // holding one — what lets queries read compressed bytes and skip runs.
 func checkSealed(t *testing.T, c *Cube, tag string) {
 	t.Helper()
-	for _, v := range c.engine.Views() {
+	for _, v := range c.engine.Topology().Views() {
 		for r := 0; r < c.machine.P(); r++ {
 			disk := c.machine.Proc(r).Disk()
 			if f := core.ViewFile(v); disk.Has(f) && !disk.Sealed(f) {
@@ -86,7 +86,7 @@ func checkSealed(t *testing.T, c *Cube, tag string) {
 func checkStoredBytes(t *testing.T, c *Cube, tag string) {
 	t.Helper()
 	var want int64
-	for _, v := range c.engine.Views() {
+	for _, v := range c.engine.Topology().Views() {
 		want += core.ViewStoredBytes(c.machine, v)
 	}
 	if got := c.Metrics().OutputBytesStored; got != want {
@@ -412,7 +412,7 @@ func TestAdvisorDeterministic(t *testing.T) {
 			transcript = append(transcript, recs)
 		}
 		var views []ViewID
-		for _, v := range cube.engine.Views() {
+		for _, v := range cube.engine.Topology().Views() {
 			views = append(views, ViewID(v))
 		}
 		return transcript, views
@@ -432,7 +432,7 @@ type ViewID = lattice.ViewID
 
 // TestAdvisorConcurrentWithServingAndIngest races Advisor.Step against
 // live server traffic and ingest batches: the advisor's topology
-// mutations must never produce a wrong answer, a stuck replan, or a
+// mutations must never produce a wrong answer, a failed query, or a
 // data race (run under -race).
 func TestAdvisorConcurrentWithServingAndIngest(t *testing.T) {
 	in, _ := loadRandom(t, 2000, 5)

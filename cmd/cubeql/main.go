@@ -222,9 +222,6 @@ func printViewDemand(st rolap.ServerStats) {
 		fmt.Fprintf(os.Stderr, "  [%s] hits=%d fallbacks=%d cache_hits=%d rows_scanned=%d\n",
 			name, vs.Hits, vs.Fallbacks, vs.CacheHits, vs.RowsScanned)
 	}
-	if st.Replans > 0 {
-		fmt.Fprintf(os.Stderr, "replans: %d\n", st.Replans)
-	}
 }
 
 // runAdvise runs n advisor steps against the live cube, printing each

@@ -13,7 +13,8 @@ import (
 // it row by row. It was the original serving path; it survives only
 // here, as the independent oracle every Querier is compared against
 // (TestDistributedGroupByMatchesGatherOracle, TestQuerierDifferential).
-// It shares nothing with Cube.resolve, Cube.plan or queryengine.
+// It shares nothing with Cube.resolve or the engine's planner; it reads
+// only the live view set from the engine's Topology.
 
 // gatherQuery answers q by gathering the source view onto one rank and
 // scanning it. A scalar query (empty Group) yields a zero-dimension
@@ -113,11 +114,9 @@ func eqQuery(dims []string, filters map[string]uint32) Query {
 // smaller ViewID, so the choice is deterministic regardless of map
 // iteration order (and matches the engine's planner).
 func (c *Cube) smallestSuperset(need lattice.ViewID) (lattice.ViewID, error) {
-	c.topoMu.RLock()
-	defer c.topoMu.RUnlock()
 	best := lattice.ViewID(0)
 	bestRows := int64(-1)
-	for v := range c.orders {
+	for _, v := range c.engine.Topology().Views() {
 		if !need.SubsetOf(v) {
 			continue
 		}

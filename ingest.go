@@ -180,10 +180,17 @@ func (c *Cube) flushLocked() (_ IngestMetrics, err error) {
 		return IngestMetrics{}, nil
 	}
 	batch := c.pending
+	// ingMu excludes every other writer of the view set.
+	t := c.engine.Topology()
+	views := t.Views()
+	orders := make(map[lattice.ViewID]lattice.Order, len(views))
+	for _, v := range views {
+		orders[v], _ = t.Order(v)
+	}
 	cfg := ingest.Config{
 		D:           len(c.in.schema.Dimensions),
-		Selected:    c.views,
-		Orders:      c.orders,
+		Selected:    views,
+		Orders:      orders,
 		Trees:       c.trees,
 		Gamma:       c.opts.Gamma,
 		MergeGamma:  c.opts.MergeGamma,
@@ -208,9 +215,11 @@ func (c *Cube) flushLocked() (_ IngestMetrics, err error) {
 			return err
 		}
 		res = r
+		rows := make(map[lattice.ViewID]int64, len(r.Changed))
 		for v := range r.Changed {
-			c.engine.InvalidateView(v, r.ViewRows[v])
+			rows[v] = r.ViewRows[v]
 		}
+		c.engine.InvalidateViews(rows)
 		fp = c.footprint()
 		return nil
 	})
@@ -364,10 +373,10 @@ func (c *Cube) foldLocked(simSeconds float64, bytesMoved int64, phases map[strin
 		}
 	}
 	m.OutputRows, m.OutputBytes, m.OutputBytesStored = 0, 0, fp.stored
-	for v, o := range c.orders {
+	for _, v := range c.engine.Topology().Views() {
 		n := m.ViewRows[viewName(c.in, v)]
 		m.OutputRows += n
-		m.OutputBytes += n * int64(record.RowBytes(len(o)))
+		m.OutputBytes += n * int64(record.RowBytes(v.Count()))
 	}
 	if c.op.Holistic() {
 		m.SketchBytes = 0
@@ -391,12 +400,13 @@ type footprint struct {
 // (inside engine.Maintain) and ingMu.
 func (c *Cube) footprint() footprint {
 	var fp footprint
-	for _, v := range c.views {
+	views := c.engine.Topology().Views()
+	for _, v := range views {
 		fp.stored += core.ViewStoredBytes(c.machine, v)
 	}
 	if c.op.Holistic() {
-		fp.sketch = make(map[lattice.ViewID]int64, len(c.views))
-		for _, v := range c.views {
+		fp.sketch = make(map[lattice.ViewID]int64, len(views))
+		for _, v := range views {
 			fp.sketch[v] = core.ViewStateBytes(c.machine, v)
 		}
 	}

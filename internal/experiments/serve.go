@@ -169,13 +169,14 @@ func Serve(sc Scale) ServeResult {
 
 // indexProbe charges one equality query on the root view's leading
 // sort dimension twice — once through the prefix index, once forced to
-// full scans — and returns the rows each version touched.
+// full scans — and returns the rows each version touched. The query
+// groups by the root's other seven dimensions, so the root is its only
+// cover.
 func indexProbe(e *queryengine.Engine) (idxRows, scanRows int64) {
-	full := lattice.Full(8)
+	order, _ := e.Topology().Order(lattice.Full(8))
 	q := queryengine.Query{
-		View:    full,
-		Bounds:  []queryengine.Bound{{Col: 0, Lo: 7, Hi: 7}},
-		OutCols: []int{1, 2},
+		Group:  order[1:],
+		Bounds: []queryengine.Bound{{Dim: order[0], Lo: 7, Hi: 7}},
 	}
 	_, im, err := e.Execute(q)
 	if err != nil {

@@ -1,32 +1,33 @@
 package queryengine
 
 import (
-	"errors"
 	"testing"
 
+	"repro/internal/ingest"
 	"repro/internal/lattice"
 	"repro/internal/record"
 )
 
 // partialEngine builds a full cube but registers only the given views
 // with the engine, so the others exist on disk yet are invisible to
-// planning — the partial-cube serving setup the advisor mutates.
-func partialEngine(t *testing.T, views []lattice.ViewID) (*Engine, map[lattice.ViewID]lattice.Order) {
+// planning — the partial-cube serving setup the advisor mutates. It
+// also returns every view's build order and the raw facts.
+func partialEngine(t *testing.T, views []lattice.ViewID) (*Engine, map[lattice.ViewID]lattice.Order, *record.Table) {
 	t.Helper()
-	m, met, _ := buildTestCube(t, 3000, 4, 2, []int{16, 8, 6, 4})
+	m, met, raw := buildTestCube(t, 3000, 4, 2, []int{16, 8, 6, 4})
 	orders := map[lattice.ViewID]lattice.Order{}
 	rows := map[lattice.ViewID]int64{}
 	for _, v := range views {
 		orders[v] = met.ViewOrders[v]
 		rows[v] = met.ViewRows[v]
 	}
-	return New(m, orders, rows, record.OpSum), met.ViewOrders
+	return New(m, orders, rows, record.OpSum), met.ViewOrders, raw
 }
 
 func TestDemandCounters(t *testing.T) {
 	full := lattice.Full(4)
 	sub := lattice.Full(4).Remove(3)
-	e, _ := partialEngine(t, []lattice.ViewID{full, sub})
+	e, _, _ := partialEngine(t, []lattice.ViewID{full, sub})
 
 	run := func(group []int) {
 		q, err := e.NewQuery(group, nil)
@@ -77,85 +78,110 @@ func TestDemandCounters(t *testing.T) {
 func TestAddRemoveViewChangesPlanning(t *testing.T) {
 	full := lattice.Full(4)
 	sub := full.Remove(3)
-	e, orders := partialEngine(t, []lattice.ViewID{full})
+	e, orders, _ := partialEngine(t, []lattice.ViewID{full})
 
-	q1, err := e.NewQuery([]int{0, 1, 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q1.View != full {
-		t.Fatalf("planned against %v before AddView, want %v", q1.View, full)
-	}
-	want1, _, err := e.Execute(q1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Register the sub-view (its slices already exist from the build);
-	// the same logical query now plans against it and agrees.
-	e.AddView(sub, orders[sub], e.Rows(full)) // row count only guides planning
-	q2, err := e.NewQuery([]int{0, 1, 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q2.View != sub {
-		t.Fatalf("planned against %v after AddView, want %v", q2.View, sub)
-	}
-	got, _, err := e.Execute(q2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !record.Equal(got, want1) {
-		t.Fatal("answer changed after AddView")
-	}
-
-	// Removing it sends planning back to the full view.
-	e.RemoveView(sub)
-	q3, err := e.NewQuery([]int{0, 1, 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q3.View != full {
-		t.Fatalf("planned against %v after RemoveView, want %v", q3.View, full)
-	}
-	if vs := e.Views(); len(vs) != 1 || vs[0] != full {
-		t.Fatalf("Views() = %v after remove", vs)
-	}
-}
-
-func TestExecuteStalePlan(t *testing.T) {
-	full := lattice.Full(4)
-	sub := full.Remove(3)
-	e, orders := partialEngine(t, []lattice.ViewID{full, sub})
-
-	// Plan against sub, retire it, then execute: the plan is stale.
 	q, err := e.NewQuery([]int{0, 1, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.View != sub {
-		t.Fatalf("planned against %v, want %v", q.View, sub)
-	}
-	e.RemoveView(sub)
-	if _, _, err := e.Execute(q); !errors.Is(err, ErrStalePlan) {
-		t.Fatalf("executing against retired view: %v, want ErrStalePlan", err)
-	}
-
-	// Re-adding with a different attribute order is also stale: the
-	// plan's column references no longer describe the slices.
-	reord := append(lattice.Order{}, orders[sub]...)
-	reord[0], reord[1] = reord[1], reord[0]
-	e.AddView(sub, reord, 100)
-	if _, _, err := e.Execute(q); !errors.Is(err, ErrStalePlan) {
-		t.Fatalf("executing against re-ordered view: %v, want ErrStalePlan", err)
-	}
-
-	// A replan against the current topology succeeds.
-	q2, err := e.NewQuery([]int{0, 1, 2}, nil)
+	want, m1, err := e.Execute(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Execute(q2); err != nil {
+	if m1.Source != full {
+		t.Fatalf("executed against %v before AddView, want %v", m1.Source, full)
+	}
+
+	// Register the sub-view (its slices already exist from the build);
+	// the same query now executes against it and agrees.
+	e.AddView(sub, orders[sub], e.Topology().Rows(full)) // row count only guides planning
+	got, m2, err := e.Execute(q)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if m2.Source != sub {
+		t.Fatalf("executed against %v after AddView, want %v", m2.Source, sub)
+	}
+	if !record.Equal(got, want) {
+		t.Fatal("answer changed after AddView")
+	}
+
+	// Removing it sends execution back to the full view.
+	e.RemoveView(sub)
+	if _, m3, err := e.Execute(q); err != nil || m3.Source != full {
+		t.Fatalf("executed against %v (%v) after RemoveView, want %v", m3.Source, err, full)
+	}
+	if vs := e.Topology().Views(); len(vs) != 1 || vs[0] != full {
+		t.Fatalf("Views() = %v after remove", vs)
+	}
+}
+
+// TestExecuteStalePlan: a Query made before the view set changes
+// executes against the view set of its execution, never against the
+// one it was made under.
+func TestExecuteStalePlan(t *testing.T) {
+	full := lattice.Full(4)
+	sub := full.Remove(3)
+
+	t.Run("source retired", func(t *testing.T) {
+		e, _, raw := partialEngine(t, []lattice.ViewID{full, sub})
+		q, err := e.NewQuery([]int{2, 0}, map[int][2]uint32{1: {1, 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, met, err := e.Execute(q); err != nil || met.Source != sub {
+			t.Fatalf("executed against %v (%v), want %v", met.Source, err, sub)
+		}
+		e.RemoveView(sub)
+		got, met, err := e.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if met.Source != full {
+			t.Fatalf("executed against %v after retiring %v, want the surviving %v", met.Source, sub, full)
+		}
+		if want := oracle(raw, q, record.OpSum); !record.Equal(got, want) {
+			t.Fatalf("answer after retirement differs from the oracle\ngot  %v\nwant %v", got, want)
+		}
+	})
+
+	t.Run("source re-added under another order", func(t *testing.T) {
+		e, orders, raw := partialEngine(t, []lattice.ViewID{full, sub})
+		// An equality on the old leading dimension: the index answers it
+		// under the old order, a residual filter under the new one.
+		q, err := e.NewQuery([]int{orders[sub][2], orders[sub][1]}, map[int][2]uint32{orders[sub][0]: {3, 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, _, err := e.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Retire sub and rebuild it from full with its first two
+		// dimensions swapped, as the advisor would.
+		reord := append(lattice.Order{}, orders[sub]...)
+		reord[0], reord[1] = reord[1], reord[0]
+		e.RemoveView(sub)
+		ingest.RetireView(e.m, sub)
+		res, err := ingest.MaterializeView(e.m, ingest.MaterializeOptions{
+			Src: full, SrcOrder: orders[full], View: sub, Order: reord,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.AddView(sub, reord, res.Rows)
+
+		got, met, err := e.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if met.Source != sub {
+			t.Fatalf("executed against %v, want the rebuilt %v", met.Source, sub)
+		}
+		want := oracle(raw, q, record.OpSum)
+		if !record.Equal(got, want) || !record.Equal(before, want) {
+			t.Fatalf("answer across the reorder differs from the oracle\nbefore %v\nafter  %v\nwant   %v", before, got, want)
+		}
+	})
 }

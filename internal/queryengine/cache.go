@@ -6,17 +6,17 @@ import (
 )
 
 // Cache is a concurrency-safe LRU result cache keyed by canonicalized
-// query keys (Query.Key). The cube is immutable once built, so cached
-// results never need invalidation — entries only leave by LRU
-// eviction. Values are opaque to the cache; callers store whatever a
-// query produced (a merged table, a wrapped view, a scalar).
+// query keys (Query.Key). Entries leave only by LRU eviction or by
+// being overwritten; the cache never judges whether a value is still
+// current. Values are opaque to it: a caller that serves a changing
+// cube stamps each value with what it was computed from (the server
+// stores the source view and its version, Metrics.Source/Version) and
+// checks the stamp against the live Topology on every hit.
 type Cache struct {
-	mu     sync.Mutex
-	cap    int
-	ll     *list.List
-	items  map[string]*list.Element
-	hits   int64
-	misses int64
+	mu    sync.Mutex
+	cap   int
+	ll    *list.List
+	items map[string]*list.Element
 }
 
 type cacheEntry struct {
@@ -39,10 +39,8 @@ func (c *Cache) Get(key string) (any, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).val, true
 }
@@ -64,18 +62,4 @@ func (c *Cache) Put(key string, val any) {
 		c.ll.Remove(last)
 		delete(c.items, last.Value.(*cacheEntry).key)
 	}
-}
-
-// Len returns the current entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Stats returns the lifetime hit and miss counts.
-func (c *Cache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

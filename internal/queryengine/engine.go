@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -33,14 +34,6 @@ import (
 	"repro/internal/record"
 	"repro/internal/sketch"
 )
-
-// ErrStalePlan reports that a query was planned against a view set
-// that has since changed: the source view was retired, or it was
-// rebuilt under a different attribute order, so the planned column
-// indices no longer mean what they meant. Callers replan and retry —
-// the materialization advisor mutates the view set online, so any
-// plan can go stale between planning and execution.
-var ErrStalePlan = errors.New("queryengine: plan is stale (materialized view set changed)")
 
 // Engine executes queries against a built cube's machine. Queries
 // share the machine: each runs its rank scans on plain goroutines under
@@ -61,18 +54,15 @@ type Engine struct {
 	// number of queries run at once, and Maintain its write side.
 	mu sync.RWMutex
 
-	// stateMu guards the mutable query-side state: the materialized
-	// view set and its orders (the advisor adds and retires views
-	// online), planning row counts, per-view version counters, the
-	// lazily built slice indexes, and the per-view demand counters.
-	// Incremental ingest rewrites view slices, so this state must be
-	// readable concurrently with queries and invalidatable per view.
-	stateMu  sync.Mutex
-	orders   map[lattice.ViewID]lattice.Order
-	rows     map[lattice.ViewID]int64
-	versions map[lattice.ViewID]uint64
-	indexes  map[idxKey]*indexEntry
-	demand   map[lattice.ViewID]*ViewDemand
+	// topo is the published view set. Every change (AddView,
+	// RemoveView, InvalidateViews, RestoreVersions) builds a whole new
+	// Topology and swaps it in; writers run under Maintain, so they
+	// never race each other, and readers load the value once.
+	topo atomic.Pointer[Topology]
+
+	// stateMu guards the per-view demand counters.
+	stateMu sync.Mutex
+	demand  map[lattice.ViewID]*ViewDemand
 }
 
 // ViewDemand accumulates traffic evidence for one *target* view (the
@@ -94,92 +84,238 @@ type ViewDemand struct {
 	SourceQueries int64
 }
 
-type idxKey struct {
-	view lattice.ViewID
-	rank int
+// Topology is one published state of the engine's view set: per live
+// view its attribute order, planning row count, version counter and
+// per-rank prefix-index slots, plus the last version of every retired
+// view. A published Topology never changes (an index slot is filled at
+// most once, on first use); a maintenance action publishes a new one
+// that shares the entries of the views it did not touch, so their
+// built indexes survive.
+type Topology struct {
+	views   []*viewState              // live views, sorted by ID
+	retired map[lattice.ViewID]uint64 // last version of each retired view
+}
+
+// viewState is one live view of a Topology.
+type viewState struct {
+	id      lattice.ViewID
+	order   lattice.Order
+	rows    int64
+	version uint64
+	// index holds one prefix-index slot per rank, built from the rank's
+	// sealed slice by the first query that needs it.
+	index []indexSlot
+}
+
+// indexSlot is one rank's prefix index of one view, built at most once.
+type indexSlot struct {
+	once sync.Once
+	ix   *Index
+}
+
+func newViewState(v lattice.ViewID, order lattice.Order, rows int64, version uint64, p int) *viewState {
+	return &viewState{
+		id:      v,
+		order:   append(lattice.Order(nil), order...),
+		rows:    rows,
+		version: version,
+		index:   make([]indexSlot, p),
+	}
+}
+
+// col returns the column of dimension dim in the view's layout, or -1.
+func (vs *viewState) col(dim int) int {
+	for c, d := range vs.order {
+		if d == dim {
+			return c
+		}
+	}
+	return -1
+}
+
+// search returns the position of view v in t.views, or where it would go.
+func (t *Topology) search(v lattice.ViewID) int {
+	return sort.Search(len(t.views), func(i int) bool { return t.views[i].id >= v })
+}
+
+// find returns view v's entry, or nil if v is not live.
+func (t *Topology) find(v lattice.ViewID) *viewState {
+	if i := t.search(v); i < len(t.views) && t.views[i].id == v {
+		return t.views[i]
+	}
+	return nil
+}
+
+// with returns t with vs as its view's live entry.
+func (t *Topology) with(vs *viewState) *Topology {
+	i := t.search(vs.id)
+	views := make([]*viewState, 0, len(t.views)+1)
+	views = append(append(views, t.views[:i]...), vs)
+	if i < len(t.views) && t.views[i].id == vs.id {
+		i++
+	}
+	views = append(views, t.views[i:]...)
+	retired := t.retired
+	if _, ok := retired[vs.id]; ok {
+		retired = make(map[lattice.ViewID]uint64, len(t.retired))
+		for v, ver := range t.retired {
+			if v != vs.id {
+				retired[v] = ver
+			}
+		}
+	}
+	return &Topology{views: views, retired: retired}
+}
+
+// without returns t with view v retired at version ver.
+func (t *Topology) without(v lattice.ViewID, ver uint64) *Topology {
+	views := make([]*viewState, 0, len(t.views))
+	for _, vs := range t.views {
+		if vs.id != v {
+			views = append(views, vs)
+		}
+	}
+	retired := make(map[lattice.ViewID]uint64, len(t.retired)+1)
+	for u, uv := range t.retired {
+		retired[u] = uv
+	}
+	retired[v] = ver
+	return &Topology{views: views, retired: retired}
+}
+
+// Views returns the live views, sorted by ViewID.
+func (t *Topology) Views() []lattice.ViewID {
+	out := make([]lattice.ViewID, len(t.views))
+	for i, vs := range t.views {
+		out[i] = vs.id
+	}
+	return out
+}
+
+// Order returns live view v's attribute order. Callers must not
+// modify it.
+func (t *Topology) Order(v lattice.ViewID) (lattice.Order, bool) {
+	if vs := t.find(v); vs != nil {
+		return vs.order, true
+	}
+	return nil, false
+}
+
+// Rows returns view v's global planning row count (0 if not live).
+func (t *Topology) Rows(v lattice.ViewID) int64 {
+	if vs := t.find(v); vs != nil {
+		return vs.rows
+	}
+	return 0
+}
+
+// Version returns view v's version counter and whether v is live. The
+// counter starts at 0 and goes up whenever the view's slices are
+// replaced (an ingest batch), it is added, or it is retired, so a
+// result stamped with (view, version) is current exactly while the
+// view is live at that version. A retired view reports the version it
+// retired at; re-adding it counts on from there.
+func (t *Topology) Version(v lattice.ViewID) (uint64, bool) {
+	if vs := t.find(v); vs != nil {
+		return vs.version, true
+	}
+	return t.retired[v], false
+}
+
+// Versions copies the version counters of every view, live or
+// retired, that has left version 0 (for persistence; a view missing
+// from the map is at 0).
+func (t *Topology) Versions() map[lattice.ViewID]uint64 {
+	out := make(map[lattice.ViewID]uint64, len(t.retired))
+	for v, ver := range t.retired {
+		out[v] = ver
+	}
+	for _, vs := range t.views {
+		if vs.version != 0 {
+			out[vs.id] = vs.version
+		}
+	}
+	return out
+}
+
+// PickSource returns the live view with the fewest global rows
+// containing all of need's dimensions — the standard ROLAP rewrite.
+// Ties on row count break to the smaller ViewID.
+func (t *Topology) PickSource(need lattice.ViewID) (lattice.ViewID, error) {
+	vs, err := t.pick(need)
+	if err != nil {
+		return 0, err
+	}
+	return vs.id, nil
+}
+
+func (t *Topology) pick(need lattice.ViewID) (*viewState, error) {
+	var best *viewState
+	for _, vs := range t.views { // ascending ID: the first of equal row counts wins
+		if need.SubsetOf(vs.id) && (best == nil || vs.rows < best.rows) {
+			best = vs
+		}
+	}
+	if best == nil {
+		return nil, fmt.Errorf("queryengine: no materialized view covers %v", need)
+	}
+	return best, nil
 }
 
 // New returns an engine over the machine's materialized views. orders
 // maps each view to its materialized attribute order (the build's
 // ViewOrders); rows maps each view to its global row count for
 // planning — pass nil to derive the counts from the per-rank slices on
-// disk (core.ViewGlobalRows).
+// disk (core.ViewGlobalRows). Every view starts at version 0.
 func New(m *cluster.Machine, orders map[lattice.ViewID]lattice.Order, rows map[lattice.ViewID]int64, op record.AggOp) *Engine {
-	if rows == nil {
-		rows = make(map[lattice.ViewID]int64, len(orders))
-		for v := range orders {
-			rows[v] = core.ViewGlobalRows(m, v)
-		}
-	}
-	// Copy both maps: the engine's view set mutates online (AddView /
-	// RemoveView) under its own lock, so it must not alias the
-	// caller's maps.
-	os := make(map[lattice.ViewID]lattice.Order, len(orders))
+	t := &Topology{}
 	for v, o := range orders {
-		os[v] = append(lattice.Order(nil), o...)
+		n, ok := rows[v]
+		if !ok {
+			n = core.ViewGlobalRows(m, v)
+		}
+		t.views = append(t.views, newViewState(v, o, n, 0, m.P()))
 	}
-	rs := make(map[lattice.ViewID]int64, len(rows))
-	for v, n := range rows {
-		rs[v] = n
-	}
-	return &Engine{
-		m:        m,
-		agg:      sketch.Agg(op),
-		orders:   os,
-		rows:     rs,
-		versions: make(map[lattice.ViewID]uint64, len(orders)),
-		indexes:  make(map[idxKey]*indexEntry),
-		demand:   make(map[lattice.ViewID]*ViewDemand),
-	}
+	sort.Slice(t.views, func(i, j int) bool { return t.views[i].id < t.views[j].id })
+	e := &Engine{m: m, agg: sketch.Agg(op), demand: make(map[lattice.ViewID]*ViewDemand)}
+	e.topo.Store(t)
+	return e
 }
 
-// Holistic reports whether the engine's operator aggregates through
-// sketch state, i.e. query results are estimates.
-func (e *Engine) Holistic() bool { return e.agg.Op.Holistic() }
-
-// ViewVersion returns view v's version counter. It starts at 0 and is
-// bumped by InvalidateView whenever an ingest batch replaces the
-// view's slices, so any cache keyed on (version, query) misses
-// naturally after the underlying data changes.
-func (e *Engine) ViewVersion(v lattice.ViewID) uint64 {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	return e.versions[v]
-}
-
-// Versions snapshots all view version counters (for persistence).
-func (e *Engine) Versions() map[lattice.ViewID]uint64 {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	out := make(map[lattice.ViewID]uint64, len(e.versions))
-	for v, ver := range e.versions {
-		out[v] = ver
-	}
-	return out
-}
+// Topology returns the engine's current view set. Read everything one
+// decision needs from the one value: a later call may return a newer
+// set.
+func (e *Engine) Topology() *Topology { return e.topo.Load() }
 
 // RestoreVersions seeds the version counters (loading a snapshot).
+// Call it before the engine serves.
 func (e *Engine) RestoreVersions(versions map[lattice.ViewID]uint64) {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
+	t := e.topo.Load()
 	for v, ver := range versions {
-		e.versions[v] = ver
+		if vs := t.find(v); vs != nil {
+			t = t.with(newViewState(v, vs.order, vs.rows, ver, e.m.P()))
+		} else {
+			t = t.without(v, ver)
+		}
 	}
+	e.topo.Store(t)
 }
 
-// InvalidateView records that view v's slices were replaced: the
-// version counter is bumped, every rank's prefix index for the view is
-// dropped (it is rebuilt lazily from the new slices on next use), and
-// the planning row count is refreshed. Views an ingest batch did not
-// touch keep their indexes and version.
-func (e *Engine) InvalidateView(v lattice.ViewID, rows int64) {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	e.versions[v]++
-	e.rows[v] = rows
-	for r := 0; r < e.m.P(); r++ {
-		delete(e.indexes, idxKey{view: v, rank: r})
+// InvalidateViews records that an ingest batch replaced the slices of
+// the views in rows, each with its new planning row count: in one
+// published topology every such view's version counter is bumped and
+// its prefix indexes are dropped (they are rebuilt lazily from the new
+// slices on next use). Views the batch did not touch keep their
+// indexes and version. Call under Maintain.
+func (e *Engine) InvalidateViews(rows map[lattice.ViewID]int64) {
+	t := e.topo.Load()
+	views := append([]*viewState(nil), t.views...)
+	for i, vs := range views {
+		if n, ok := rows[vs.id]; ok {
+			views[i] = newViewState(vs.id, vs.order, n, vs.version+1, e.m.P())
+		}
 	}
+	e.topo.Store(&Topology{views: views, retired: t.retired})
 }
 
 // Maintain runs fn while holding the machine exclusively, blocking
@@ -193,66 +329,26 @@ func (e *Engine) Maintain(fn func() error) error {
 	return fn()
 }
 
-// P returns the machine size queries execute on.
-func (e *Engine) P() int { return e.m.P() }
-
-// Order returns the materialized attribute order of view v.
-func (e *Engine) Order(v lattice.ViewID) (lattice.Order, bool) {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	o, ok := e.orders[v]
-	return o, ok
-}
-
-// Views returns the materialized view set, sorted by ViewID.
-func (e *Engine) Views() []lattice.ViewID {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	out := make([]lattice.ViewID, 0, len(e.orders))
-	for v := range e.orders {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Rows returns view v's global planning row count (0 if not
-// materialized).
-func (e *Engine) Rows(v lattice.ViewID) int64 {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	return e.rows[v]
-}
-
 // AddView registers a newly materialized view: its attribute order,
-// its planning row count, and a version bump so any result-cache
-// entries from a previous incarnation of the view (retired and
-// rebuilt, possibly under a different order) miss. Call under
-// Maintain, after the view's slices are committed on disk.
+// its planning row count, and a version past any it had before, so
+// result-cache entries from a previous incarnation of the view
+// (retired and rebuilt, possibly under a different order) miss. Call
+// under Maintain, after the view's slices are committed on disk.
 func (e *Engine) AddView(v lattice.ViewID, order lattice.Order, rows int64) {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	e.orders[v] = append(lattice.Order(nil), order...)
-	e.rows[v] = rows
-	e.versions[v]++
-	for r := 0; r < e.m.P(); r++ {
-		delete(e.indexes, idxKey{view: v, rank: r})
-	}
+	t := e.topo.Load()
+	ver, _ := t.Version(v)
+	e.topo.Store(t.with(newViewState(v, order, rows, ver+1, e.m.P())))
 }
 
-// RemoveView retires view v from planning: plans already holding it
-// fail with ErrStalePlan and replan, per-rank prefix indexes are
-// dropped, and the version counter is bumped so cached results for
-// the view miss. Call under Maintain (the drain barrier), before or
-// after deleting the slices on disk.
+// RemoveView retires view v from planning: queries that start after it
+// pick another source, its prefix indexes go with its entry, and its
+// version counter is bumped so cached results for the view miss. Call
+// under Maintain (the drain barrier), before or after deleting the
+// slices on disk.
 func (e *Engine) RemoveView(v lattice.ViewID) {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	delete(e.orders, v)
-	delete(e.rows, v)
-	e.versions[v]++
-	for r := 0; r < e.m.P(); r++ {
-		delete(e.indexes, idxKey{view: v, rank: r})
+	t := e.topo.Load()
+	if vs := t.find(v); vs != nil {
+		e.topo.Store(t.without(v, vs.version+1))
 	}
 }
 
@@ -294,81 +390,59 @@ func (e *Engine) noteDemand(need, src lattice.ViewID, scanned int64) {
 	sd.SourceQueries++
 }
 
-// PickSource returns the materialized view with the fewest global rows
-// containing all of need's dimensions — the standard ROLAP rewrite.
-// Ties on row count break to the smaller ViewID, so planning is
-// deterministic regardless of map iteration order.
-func (e *Engine) PickSource(need lattice.ViewID) (lattice.ViewID, error) {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	best := lattice.ViewID(0)
-	bestRows := int64(-1)
-	for v := range e.orders {
-		if !need.SubsetOf(v) {
-			continue
-		}
-		rows := e.rows[v]
-		if bestRows == -1 || rows < bestRows || (rows == bestRows && v < best) {
-			best, bestRows = v, rows
-		}
-	}
-	if bestRows == -1 {
-		return 0, fmt.Errorf("queryengine: no materialized view covers %v", need)
-	}
-	return best, nil
-}
-
-// Bound restricts source rows: column Col (in the source view's
-// layout) must hold a value in [Lo, Hi] inclusive. An equality filter
-// is Lo == Hi.
+// Bound restricts dimension Dim to values in [Lo, Hi] inclusive. An
+// equality filter is Lo == Hi.
 type Bound struct {
-	Col    int
+	Dim    int
 	Lo, Hi uint32
 }
 
-// Query is one executable scatter–gather request: scan view View's
-// slices, keep rows satisfying every Bound, project the kept rows onto
-// OutCols (source column indices, in result order), and aggregate
-// equal keys with the engine's operator. Empty OutCols collapses the
-// selection to a single zero-dimension group (a scalar aggregate).
+// Query is one request stated in dimensions: keep the rows inside
+// every Bound, group them by the Group dimensions (in result order)
+// and aggregate each group with the engine's operator. Empty Group
+// collapses the selection to a single zero-dimension group (a scalar
+// aggregate). A Query names no view: Execute picks the source view and
+// resolves the columns against the view set it runs on, so a Query
+// never goes stale.
 type Query struct {
-	View    lattice.ViewID
-	Bounds  []Bound // sorted by Col (NewQuery guarantees this)
-	OutCols []int
+	Group  []int
+	Bounds []Bound // sorted by Dim, one per dimension (NewQuery guarantees this)
 	// NoIndex forces full scans even when the bounds cover a prefix of
-	// the view's sort order (for the indexed-vs-scan comparison).
+	// the source view's sort order (for the indexed-vs-scan comparison).
 	NoIndex bool
 	// Percentile is the rank (in [0,1]) a quantile-operator engine
 	// resolves each group's sketch at; ignored for every other
 	// operator.
 	Percentile float64
-	// Need is the exact target view (every grouped or bounded
-	// dimension); when Need != View the query is a superset fallback.
-	// NewQuery sets it; it feeds the per-view demand counters, not the
-	// execution plan, so it is not part of Key.
-	Need lattice.ViewID
-	// Order is the source view's attribute order the plan's column
-	// indices were resolved against. Execute rejects the query with
-	// ErrStalePlan if the view's current order differs (retired, or
-	// retired and rebuilt under another order) — without this check a
-	// stale plan could silently aggregate the wrong columns. Nil skips
-	// the check (hand-built queries in tests).
-	Order lattice.Order
 }
 
-// Key canonicalizes the query for result caching. Bounds are kept
-// sorted by column, so queries that differ only in filter-map
-// iteration order share a key; OutCols order is part of the key
-// because it fixes the result's column order.
+// Need returns the exact target view: every grouped or bounded
+// dimension. When the source view is larger the query is a superset
+// fallback.
+func (q Query) Need() lattice.ViewID {
+	need := lattice.Empty
+	for _, dim := range q.Group {
+		need = need.Add(dim)
+	}
+	for _, b := range q.Bounds {
+		need = need.Add(b.Dim)
+	}
+	return need
+}
+
+// Key canonicalizes the logical query for result caching. Bounds are
+// kept sorted by dimension, so queries that differ only in filter-map
+// iteration order share a key; Group order is part of the key because
+// it fixes the result's column order.
 func (q Query) Key() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "v%d|o", uint32(q.View))
-	for _, c := range q.OutCols {
-		fmt.Fprintf(&sb, ",%d", c)
+	sb.WriteString("g")
+	for _, dim := range q.Group {
+		fmt.Fprintf(&sb, ",%d", dim)
 	}
 	sb.WriteString("|b")
 	for _, b := range q.Bounds {
-		fmt.Fprintf(&sb, ",%d:%d-%d", b.Col, b.Lo, b.Hi)
+		fmt.Fprintf(&sb, ",%d:%d-%d", b.Dim, b.Lo, b.Hi)
 	}
 	if q.NoIndex {
 		sb.WriteString("|noidx")
@@ -379,49 +453,29 @@ func (q Query) Key() string {
 	return sb.String()
 }
 
-// NewQuery plans a request: group lists the internal dimensions of the
-// result key (in result order), bounds the per-dimension row
-// restrictions. The source view is the smallest materialized superset
-// of everything referenced; columns are resolved against its
-// materialized order. A dimension may be both grouped and bounded —
-// the bound then restricts which groups survive ("group by store
-// where store = 3"), matching the gather-and-scan oracle.
+// NewQuery states a request: group lists the internal dimensions of
+// the result key (in result order), bounds the per-dimension row
+// restrictions. A dimension may be both grouped and bounded — the
+// bound then restricts which groups survive ("group by store where
+// store = 3"), matching the gather-and-scan oracle. NewQuery reads no
+// view set; Execute plans.
 func (e *Engine) NewQuery(group []int, bounds map[int][2]uint32) (Query, error) {
-	need := lattice.Empty
-	for _, dim := range group {
-		if need.Has(dim) {
+	q := Query{Group: make([]int, len(group))}
+	seen := lattice.Empty
+	for k, dim := range group {
+		if seen.Has(dim) {
 			return Query{}, fmt.Errorf("queryengine: dimension %d repeated in group", dim)
 		}
-		need = need.Add(dim)
-	}
-	for dim := range bounds {
-		need = need.Add(dim)
-	}
-	src, err := e.PickSource(need)
-	if err != nil {
-		return Query{}, err
-	}
-	order, ok := e.Order(src)
-	if !ok {
-		// The view set changed between PickSource and the order read;
-		// callers treat this like any other stale plan and replan.
-		return Query{}, fmt.Errorf("%w: view %v retired during planning", ErrStalePlan, src)
-	}
-	col := make(map[int]int, len(order)) // dimension -> source column
-	for c, dim := range order {
-		col[dim] = c
-	}
-	q := Query{View: src, OutCols: make([]int, len(group)), Need: need, Order: order}
-	for k, dim := range group {
-		q.OutCols[k] = col[dim]
+		seen = seen.Add(dim)
+		q.Group[k] = dim
 	}
 	for dim, b := range bounds {
 		if b[0] > b[1] {
 			return Query{}, fmt.Errorf("queryengine: empty range %d..%d on dimension %d", b[0], b[1], dim)
 		}
-		q.Bounds = append(q.Bounds, Bound{Col: col[dim], Lo: b[0], Hi: b[1]})
+		q.Bounds = append(q.Bounds, Bound{Dim: dim, Lo: b[0], Hi: b[1]})
 	}
-	sort.Slice(q.Bounds, func(i, j int) bool { return q.Bounds[i].Col < q.Bounds[j].Col })
+	sort.Slice(q.Bounds, func(i, j int) bool { return q.Bounds[i].Dim < q.Bounds[j].Dim })
 	return q, nil
 }
 
@@ -429,13 +483,11 @@ func (e *Engine) NewQuery(group []int, bounds map[int][2]uint32) (Query, error) 
 type Metrics struct {
 	// Source is the view the query executed against.
 	Source lattice.ViewID
-	// Version is the source view's version counter at execution time.
-	// Execution holds the read side of the maintenance lock, whose write
-	// side every version writer holds, so the result is guaranteed to be
-	// computed from exactly this version of the view's slices — cache
-	// entries must be stamped with it, not with a version read at plan
-	// time (a concurrent ingest between plan and execution would
-	// otherwise file a post-batch result under the pre-batch key).
+	// Version is the source view's version counter in the view set the
+	// execution planned and ran against. Execution holds the read side
+	// of the maintenance lock, whose write side every version writer
+	// holds, so the result is computed from exactly this version of the
+	// view's slices; cache entries are stamped with (Source, Version).
 	Version uint64
 	// RowsScanned counts source rows read and tested across all
 	// processors (after index narrowing).
@@ -449,40 +501,48 @@ type Metrics struct {
 	IndexUsed bool
 }
 
-// Execute runs the query scatter–gather and returns the merged result:
-// a table with len(OutCols) columns, globally aggregated and sorted in
-// OutCols order. Executions share the machine: each holds the read side
-// of the maintenance lock, scans the p rank slices on plain goroutines
-// and records every charge in its own ledger, which is committed onto
-// the simulated clocks under the "query" phase once the result is
-// merged — billed exactly as one SPMD superstep (local scans, a gather
-// at rank 0, the root's merge) would have been.
+// plan is a Query resolved against one view: the source, and the
+// query's dimensions as the source's columns.
+type plan struct {
+	src     *viewState
+	outCols []int
+	bounds  []record.ColRange // sorted by Col
+	noIndex bool
+}
+
+func (vs *viewState) plan(q Query) plan {
+	pl := plan{src: vs, outCols: make([]int, len(q.Group)), noIndex: q.NoIndex}
+	for k, dim := range q.Group {
+		pl.outCols[k] = vs.col(dim)
+	}
+	for _, b := range q.Bounds {
+		pl.bounds = append(pl.bounds, record.ColRange{Col: vs.col(b.Dim), Lo: b.Lo, Hi: b.Hi})
+	}
+	sort.Slice(pl.bounds, func(i, j int) bool { return pl.bounds[i].Col < pl.bounds[j].Col })
+	return pl
+}
+
+// Execute plans the query and runs it scatter–gather, returning the
+// merged result: a table with len(Group) columns, globally aggregated
+// and sorted in Group order. Executions share the machine: each holds
+// the read side of the maintenance lock, picks the source view from
+// the topology published at that moment, scans the p rank slices on
+// plain goroutines and records every charge in its own ledger, which
+// is committed onto the simulated clocks under the "query" phase once
+// the result is merged — billed exactly as one SPMD superstep (local
+// scans, a gather at rank 0, the root's merge) would have been.
 func (e *Engine) Execute(q Query) (*record.Table, Metrics, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	// Validate under e.mu: the view set only changes under Maintain,
-	// which holds e.mu exclusively, so a plan that passes here stays
-	// valid for the whole execution.
-	e.stateMu.Lock()
-	order, ok := e.orders[q.View]
-	ver := e.versions[q.View]
-	e.stateMu.Unlock()
-	if !ok {
-		return nil, Metrics{}, fmt.Errorf("%w: view %v not materialized", ErrStalePlan, q.View)
+	// The view set changes only under Maintain, which waits for this
+	// read side, so the source and its layout hold for the whole
+	// execution.
+	need := q.Need()
+	src, err := e.topo.Load().pick(need)
+	if err != nil {
+		return nil, Metrics{}, err
 	}
-	if q.Order != nil && !orderEqual(q.Order, order) {
-		return nil, Metrics{}, fmt.Errorf("%w: view %v order changed since planning", ErrStalePlan, q.View)
-	}
-	for _, c := range q.OutCols {
-		if c < 0 || c >= len(order) {
-			return nil, Metrics{}, fmt.Errorf("queryengine: output column %d out of range for view %v", c, q.View)
-		}
-	}
-	for _, b := range q.Bounds {
-		if b.Col < 0 || b.Col >= len(order) {
-			return nil, Metrics{}, fmt.Errorf("queryengine: bound column %d out of range for view %v", b.Col, q.View)
-		}
-	}
+	pl := src.plan(q)
 
 	p := e.m.P()
 	l := cluster.NewLedger(p, "query")
@@ -496,7 +556,7 @@ func (e *Engine) Execute(q Query) (*record.Table, Metrics, error) {
 				errs[r] = fmt.Errorf("queryengine: rank %d scan panicked: %v", r, v)
 			}
 		}()
-		parts[r], scanned[r], idxUsed[r] = e.scanLocal(l, r, q, e.agg)
+		parts[r], scanned[r], idxUsed[r] = e.scanLocal(l, r, pl)
 		// Sketch blobs travel with their rows: the gather charge
 		// includes the sealed state of every shipped group.
 		l.Gather(r, parts[r].Bytes()+parts[r].StateBytes())
@@ -531,43 +591,31 @@ func (e *Engine) Execute(q Query) (*record.Table, Metrics, error) {
 		l.Root(costmodel.ScanOps(out.Len()))
 		sketch.Resolve(e.agg.Op, out, q.Percentile)
 	}
-	met := Metrics{Source: q.View, Version: ver}
+	met := Metrics{Source: src.id, Version: src.version}
 	met.SimSeconds, met.BytesMoved = e.m.Commit(l)
 	for r := 0; r < p; r++ {
 		met.RowsScanned += scanned[r]
 		met.IndexUsed = met.IndexUsed || idxUsed[r]
 	}
-	e.noteDemand(q.Need, q.View, met.RowsScanned)
+	e.noteDemand(need, src.id, met.RowsScanned)
 	return out, met, nil
 }
 
-func orderEqual(a, b lattice.Order) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// scanLocal runs the query's local half for rank r, recording its
+// scanLocal runs the plan's local half for rank r, recording its
 // charges in l: narrow the slice with the prefix index when the bounds
 // allow it, then filter the remaining rows by the residual bounds,
-// project onto OutCols and partially aggregate. Returns the sorted
-// partial aggregate, the number of source rows scanned, and whether
-// the index was used.
-func (e *Engine) scanLocal(l *cluster.Ledger, r int, q Query, agg record.Agg) (*record.Table, int64, bool) {
+// project onto the output columns and partially aggregate. Returns the
+// sorted partial aggregate, the number of source rows scanned, and
+// whether the index was used.
+func (e *Engine) scanLocal(l *cluster.Ledger, r int, pl plan) (*record.Table, int64, bool) {
 	disk := e.m.Proc(r).Disk()
-	file := core.ViewFile(q.View)
+	file := core.ViewFile(pl.src.id)
 	if disk.Len(file) <= 0 {
-		return record.New(len(q.OutCols), 0), 0, false
+		return record.New(len(pl.outCols), 0), 0, false
 	}
 
-	boundAt := make(map[int]Bound, len(q.Bounds))
-	for _, b := range q.Bounds {
+	boundAt := make(map[int]record.ColRange, len(pl.bounds))
+	for _, b := range pl.bounds {
 		boundAt[b.Col] = b
 	}
 	// Longest equality prefix of the sort order, plus an optional range
@@ -588,9 +636,9 @@ func (e *Engine) scanLocal(l *cluster.Ledger, r int, q Query, agg record.Agg) (*
 	var rows *record.Table
 	var bytes int
 	prefix := 0
-	indexed := !q.NoIndex && (len(eq) > 0 || rng != nil)
+	indexed := !pl.noIndex && (len(eq) > 0 || rng != nil)
 	if indexed {
-		ix := e.sliceIndex(l, r, q.View, file)
+		ix := e.sliceIndex(l, r, pl.src)
 		lo, hi, ops := ix.Lookup(eq, rng)
 		l.Compute(r, ops)
 		rows, bytes = disk.ReadWindow(file, lo, hi)
@@ -603,54 +651,40 @@ func (e *Engine) scanLocal(l *cluster.Ledger, r int, q Query, agg record.Agg) (*
 	}
 	l.Read(r, bytes)
 	var residual []record.ColRange
-	for _, b := range q.Bounds {
+	for _, b := range pl.bounds {
 		if b.Col >= prefix {
-			residual = append(residual, record.ColRange{Col: b.Col, Lo: b.Lo, Hi: b.Hi})
+			residual = append(residual, b)
 		}
 	}
 
 	n := rows.Len()
 	l.Compute(r, costmodel.ScanOps(n))
-	part, kept := record.FilterProjectAggregate(rows, residual, q.OutCols, agg)
+	part, kept := record.FilterProjectAggregate(rows, residual, pl.outCols, e.agg)
 	l.Compute(r, costmodel.SortOps(kept)+costmodel.ScanOps(kept))
 	return part, int64(n), indexed
 }
 
 // sliceIndex returns rank r's prefix index of the view, building it on
-// first use (one charged read of the leading column, or of the whole
-// slice while it is still row-form; the directory is retained in
-// memory, like any database's block index). Each index is built once:
+// first use from the sealed slice's leading-column run directory (one
+// charged read of that column; the directory is retained in memory,
+// like any database's block index). Each slot is built once:
 // concurrent queries wait for the one that builds it, and only that
-// query's ledger pays for the build.
-func (e *Engine) sliceIndex(l *cluster.Ledger, r int, v lattice.ViewID, file string) *Index {
-	key := idxKey{view: v, rank: r}
-	e.stateMu.Lock()
-	ent := e.indexes[key]
-	if ent == nil {
-		ent = &indexEntry{}
-		e.indexes[key] = ent
-	}
-	e.stateMu.Unlock()
-	ent.once.Do(func() {
-		disk := e.m.Proc(r).Disk()
-		if s, bytes, ok := disk.ReadLeading(file); ok {
-			// Sealed slice: the index is the leading column's run
-			// directory, read directly.
-			l.Read(r, bytes)
-			ent.ix = BuildIndexSlice(s)
-			l.Compute(r, costmodel.ScanOps(ent.ix.Runs()))
+// query's ledger pays for the build. Every live view file is sealed
+// when it goes live, so an unsealed one is a broken invariant and
+// panics (Execute recovers the panic into an error).
+func (e *Engine) sliceIndex(l *cluster.Ledger, r int, vs *viewState) *Index {
+	slot := &vs.index[r]
+	slot.once.Do(func() {
+		s, bytes, ok := e.m.Proc(r).Disk().ReadLeading(core.ViewFile(vs.id))
+		if !ok {
 			return
 		}
-		t, bytes, _ := disk.Read(file)
 		l.Read(r, bytes)
-		l.Compute(r, costmodel.ScanOps(t.Len()))
-		ent.ix = BuildIndex(t)
+		slot.ix = BuildIndexSlice(s)
+		l.Compute(r, costmodel.ScanOps(slot.ix.Runs()))
 	})
-	return ent.ix
-}
-
-// indexEntry is one (view, rank) prefix index, built at most once.
-type indexEntry struct {
-	once sync.Once
-	ix   *Index
+	if slot.ix == nil {
+		panic(fmt.Sprintf("queryengine: view %v on rank %d is not sealed", vs.id, r))
+	}
+	return slot.ix
 }

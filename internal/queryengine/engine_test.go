@@ -2,6 +2,7 @@ package queryengine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -31,17 +32,15 @@ func buildTestCube(t *testing.T, n, d, p int, cards []int) (*cluster.Machine, co
 	return m, met, g.All()
 }
 
-// oracle computes the query result by brute force over the raw data.
-func oracle(raw *record.Table, q Query, order lattice.Order, op record.AggOp) *record.Table {
-	// Map source columns back to raw columns: source col c holds
-	// dimension order[c], which is raw column order[c] (raw is in
-	// canonical dimension order).
-	proj := record.New(len(q.OutCols), 0)
-	key := make([]uint32, len(q.OutCols))
+// oracle computes the query result by brute force over the raw data,
+// which is in canonical dimension order (dimension i is column i).
+func oracle(raw *record.Table, q Query, op record.AggOp) *record.Table {
+	proj := record.New(len(q.Group), 0)
+	key := make([]uint32, len(q.Group))
 	for i := 0; i < raw.Len(); i++ {
 		keep := true
 		for _, b := range q.Bounds {
-			if v := raw.Dim(i, order[b.Col]); v < b.Lo || v > b.Hi {
+			if v := raw.Dim(i, b.Dim); v < b.Lo || v > b.Hi {
 				keep = false
 				break
 			}
@@ -49,8 +48,8 @@ func oracle(raw *record.Table, q Query, order lattice.Order, op record.AggOp) *r
 		if !keep {
 			continue
 		}
-		for k, c := range q.OutCols {
-			key[k] = raw.Dim(i, order[c])
+		for k, dim := range q.Group {
+			key[k] = raw.Dim(i, dim)
 		}
 		proj.Append(key, raw.Meas(i))
 	}
@@ -81,15 +80,15 @@ func TestExecuteMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		want := oracle(raw, q, met.ViewOrders[q.View], record.OpSum)
+		want := oracle(raw, q, record.OpSum)
 		if !record.Equal(got, want) {
 			t.Fatalf("case %d: result mismatch\ngot  %v\nwant %v", i, got, want)
 		}
 		if qm.SimSeconds <= 0 {
 			t.Fatalf("case %d: no simulated time charged", i)
 		}
-		if qm.Source != q.View {
-			t.Fatalf("case %d: metrics source %v, query view %v", i, qm.Source, q.View)
+		if src, _ := e.Topology().PickSource(q.Need()); qm.Source != src {
+			t.Fatalf("case %d: metrics source %v, smallest cover %v", i, qm.Source, src)
 		}
 	}
 }
@@ -98,11 +97,12 @@ func TestIndexScansStrictlyFewerRows(t *testing.T) {
 	m, met, _ := buildTestCube(t, 4000, 4, 2, []int{16, 8, 6, 4})
 	e := New(m, met.ViewOrders, met.ViewRows, record.OpSum)
 
-	// Equality on the leading sort-order dimension of the full view, so
-	// the prefix index applies.
+	// Equality on the leading sort-order dimension of the full view,
+	// grouped by the other three so that the full view is the only
+	// cover: the prefix index applies.
 	full := lattice.Full(4)
 	order := met.ViewOrders[full]
-	q := Query{View: full, Bounds: []Bound{{Col: 0, Lo: 3, Hi: 3}}, OutCols: []int{1}}
+	q := Query{Group: order[1:], Bounds: []Bound{{Dim: order[0], Lo: 3, Hi: 3}}}
 
 	indexed, im, err := e.Execute(q)
 	if err != nil {
@@ -132,10 +132,12 @@ func TestIndexRangeAndMissingValue(t *testing.T) {
 	m, met, raw := buildTestCube(t, 2000, 3, 2, []int{10, 6, 4})
 	e := New(m, met.ViewOrders, met.ViewRows, record.OpSum)
 	full := lattice.Full(3)
-	leadDim := met.ViewOrders[full][0]
+	order := met.ViewOrders[full]
+	leadDim := order[0]
 
-	// Range on the leading column: index brackets the runs.
-	q := Query{View: full, Bounds: []Bound{{Col: 0, Lo: 2, Hi: 5}}, OutCols: []int{1, 2}}
+	// Range on the leading column (grouped by the others, so the full
+	// view is the only cover): index brackets the runs.
+	q := Query{Group: order[1:], Bounds: []Bound{{Dim: leadDim, Lo: 2, Hi: 5}}}
 	got, qm, err := e.Execute(q)
 	if err != nil {
 		t.Fatal(err)
@@ -143,13 +145,13 @@ func TestIndexRangeAndMissingValue(t *testing.T) {
 	if !qm.IndexUsed {
 		t.Fatal("range on leading column did not use the index")
 	}
-	want := oracle(raw, q, met.ViewOrders[full], record.OpSum)
+	want := oracle(raw, q, record.OpSum)
 	if !record.Equal(got, want) {
 		t.Fatalf("range result mismatch (lead dim %d)", leadDim)
 	}
 
 	// Equality on a value outside the slice: empty result, near-zero scan.
-	q = Query{View: full, Bounds: []Bound{{Col: 0, Lo: 999, Hi: 999}}, OutCols: []int{1}}
+	q = Query{Group: order[1:], Bounds: []Bound{{Dim: leadDim, Lo: 999, Hi: 999}}}
 	got, qm, err = e.Execute(q)
 	if err != nil {
 		t.Fatal(err)
@@ -165,14 +167,12 @@ func TestIndexRangeAndMissingValue(t *testing.T) {
 func TestPickSourceDeterministicTieBreak(t *testing.T) {
 	// Two candidate views with identical row counts: the smaller ViewID
 	// must win, every time.
-	orders := map[lattice.ViewID]lattice.Order{
-		0b011: {0, 1},
-		0b101: {0, 2},
-	}
-	rows := map[lattice.ViewID]int64{0b011: 42, 0b101: 42}
-	e := &Engine{orders: orders, rows: rows}
+	tp := &Topology{views: []*viewState{
+		{id: 0b011, order: lattice.Order{0, 1}, rows: 42},
+		{id: 0b101, order: lattice.Order{0, 2}, rows: 42},
+	}}
 	for i := 0; i < 50; i++ {
-		v, err := e.PickSource(0b001)
+		v, err := tp.PickSource(0b001)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,11 +181,11 @@ func TestPickSourceDeterministicTieBreak(t *testing.T) {
 		}
 	}
 	// Fewer rows still beats a smaller ID.
-	rows[0b101] = 10
-	if v, _ := e.PickSource(0b001); v != 0b101 {
+	tp.views[1].rows = 10
+	if v, _ := tp.PickSource(0b001); v != 0b101 {
 		t.Fatalf("picked %v over the smaller view", v)
 	}
-	if _, err := e.PickSource(0b1000); err == nil {
+	if _, err := tp.PickSource(0b1000); err == nil {
 		t.Fatal("uncovered dimension did not error")
 	}
 }
@@ -239,7 +239,7 @@ func TestExecuteConcurrentCallers(t *testing.T) {
 					errs <- err
 					return
 				}
-				want := oracle(raw, q, met.ViewOrders[q.View], record.OpSum)
+				want := oracle(raw, q, record.OpSum)
 				if !record.Equal(got, want) {
 					errs <- fmt.Errorf("worker %d query %d: mismatch", w, i)
 					return
@@ -269,6 +269,10 @@ func TestRacingQueriesBuildIndexOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		src, err := e.Topology().PickSource(q.Need())
+		if err != nil {
+			t.Fatal(err)
+		}
 		exec := func() {
 			if _, met, err := e.Execute(q); err != nil || !met.IndexUsed {
 				t.Errorf("indexed query: %v (index used: %v)", err, met.IndexUsed)
@@ -276,7 +280,7 @@ func TestRacingQueriesBuildIndexOnce(t *testing.T) {
 		}
 		before := m.Stats()
 		for round := 0; round < rounds; round++ {
-			e.InvalidateView(q.View, e.Rows(q.View))
+			e.InvalidateViews(map[lattice.ViewID]int64{src: e.Topology().Rows(src)})
 			start := make(chan struct{})
 			var wg sync.WaitGroup
 			for c := 0; c < clients; c++ {
@@ -303,5 +307,25 @@ func TestRacingQueriesBuildIndexOnce(t *testing.T) {
 	}
 	if seq, par := run(false), run(true); par != seq {
 		t.Fatalf("racing queries charged %s, sequential %s", par, seq)
+	}
+}
+
+// TestUnsealedViewIsAnError: every live view file is sealed as it goes
+// live, so an index lookup that meets a row-form one is a broken
+// invariant. Execute returns it as an error naming the view and rank.
+func TestUnsealedViewIsAnError(t *testing.T) {
+	m, met, _ := buildTestCube(t, 500, 3, 2, []int{8, 4, 3})
+	full := lattice.Full(3)
+	disk := m.Proc(1).Disk()
+	rows, _, _ := disk.Read(core.ViewFile(full))
+	disk.Put(core.ViewFile(full), rows.Clone())
+	e := New(m, met.ViewOrders, met.ViewRows, record.OpSum)
+	order := met.ViewOrders[full]
+	_, _, err := e.Execute(Query{Group: order[1:], Bounds: []Bound{{Dim: order[0], Lo: 1, Hi: 1}}})
+	if err == nil {
+		t.Fatal("index lookup on an unsealed view file succeeded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "rank 1") || !strings.Contains(msg, fmt.Sprint(full)) {
+		t.Fatalf("error %q does not name view %v and rank 1", msg, full)
 	}
 }

@@ -5,23 +5,13 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/costmodel"
-	"repro/internal/record"
 )
 
-// rowsAccessor is the random-access row view an Index resolves deep
-// prefix columns against: satisfied by *record.Table and by
-// *colstore.Slice, so an index over a sealed slice never needs the
-// full decode.
-type rowsAccessor interface {
-	Len() int
-	Dim(i, j int) uint32
-}
-
 // compareRowKey compares row i's leading columns against key,
-// lexicographically (record.CompareRowKey over the accessor).
-func compareRowKey(r rowsAccessor, i int, key []uint32) int {
+// lexicographically, reading the sealed slice in place.
+func compareRowKey(s *colstore.Slice, i int, key []uint32) int {
 	for j, k := range key {
-		if v := r.Dim(i, j); v != k {
+		if v := s.Dim(i, j); v != k {
 			if v < k {
 				return -1
 			}
@@ -40,37 +30,16 @@ func compareRowKey(r rowsAccessor, i int, key []uint32) int {
 // search inside the run. Lookups return the run's row range so the
 // executor reads and scans only those rows instead of the whole slice.
 //
-// Views are immutable once built, so an Index never invalidates. The
-// table reference is shared read-only with the owning disk.
+// Sealed slices are immutable, so an Index never invalidates. The
+// slice reference is shared read-only with the owning disk.
 type Index struct {
-	rows rowsAccessor
+	rows *colstore.Slice
 	d    int
 	// vals[i] is the i-th distinct value of the leading sort column;
 	// starts[i] is its first row. starts has one extra element, the
 	// slice length, so run i spans rows [starts[i], starts[i+1]).
 	vals   []uint32
 	starts []int
-}
-
-// BuildIndex scans a sorted slice once and returns its prefix index.
-// The caller is responsible for charging the scan. Slices of the
-// zero-dimension (grand total) view have no sort column and get an
-// index that never matches.
-func BuildIndex(t *record.Table) *Index {
-	ix := &Index{rows: t, d: t.D}
-	if t.D == 0 {
-		return ix
-	}
-	n := t.Len()
-	for i := 0; i < n; i++ {
-		v := t.Dim(i, 0)
-		if len(ix.vals) == 0 || ix.vals[len(ix.vals)-1] != v {
-			ix.vals = append(ix.vals, v)
-			ix.starts = append(ix.starts, i)
-		}
-	}
-	ix.starts = append(ix.starts, n)
-	return ix
 }
 
 // BuildIndexSlice builds the prefix index of a sealed columnar slice
@@ -85,9 +54,6 @@ func BuildIndexSlice(s *colstore.Slice) *Index {
 	ix.vals, ix.starts = s.LeadingRuns()
 	return ix
 }
-
-// Len returns the indexed slice's row count.
-func (ix *Index) Len() int { return ix.rows.Len() }
 
 // Runs returns the number of distinct leading-column values.
 func (ix *Index) Runs() int { return len(ix.vals) }

@@ -3,21 +3,22 @@ package queryengine
 import (
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/record"
 )
 
-// sortedTable builds a sorted 3-column table from explicit rows.
-func sortedTable(rows [][]uint32) *record.Table {
+// sortedSlice seals a sorted 3-column slice of explicit rows.
+func sortedSlice(rows [][]uint32) *colstore.Slice {
 	t := record.FromRows(3, rows, nil)
 	t.Sort()
-	return t
+	return colstore.Encode(t)
 }
 
 func TestIndexEqualityRun(t *testing.T) {
-	tab := sortedTable([][]uint32{
+	s := sortedSlice([][]uint32{
 		{0, 1, 0}, {0, 2, 1}, {1, 0, 0}, {1, 0, 2}, {1, 3, 1}, {3, 0, 0},
 	})
-	ix := BuildIndex(tab)
+	ix := BuildIndexSlice(s)
 	if ix.Runs() != 3 {
 		t.Fatalf("runs = %d, want 3", ix.Runs())
 	}
@@ -40,10 +41,10 @@ func TestIndexEqualityRun(t *testing.T) {
 }
 
 func TestIndexRangeLookup(t *testing.T) {
-	tab := sortedTable([][]uint32{
+	s := sortedSlice([][]uint32{
 		{0, 0, 0}, {2, 0, 0}, {2, 5, 0}, {4, 0, 0}, {7, 0, 0},
 	})
-	ix := BuildIndex(tab)
+	ix := BuildIndexSlice(s)
 	// Range over the leading column.
 	lo, hi, _ := ix.Lookup(nil, &[2]uint32{1, 4})
 	if lo != 1 || hi != 4 {
@@ -61,7 +62,7 @@ func TestIndexRangeLookup(t *testing.T) {
 }
 
 func TestIndexZeroDimensionSlice(t *testing.T) {
-	ix := BuildIndex(record.New(0, 0))
+	ix := BuildIndexSlice(colstore.Encode(record.New(0, 0)))
 	if lo, hi, _ := ix.Lookup([]uint32{1}, nil); lo != 0 || hi != 0 {
 		t.Fatalf("zero-dim lookup = [%d,%d)", lo, hi)
 	}
@@ -81,31 +82,29 @@ func TestCacheLRUAndStats(t *testing.T) {
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a evicted out of LRU order")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d", c.Len())
-	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("stats = %d hits, %d misses; want 2, 1", hits, misses)
-	}
-	// Refreshing an existing key keeps a single entry.
+	// Refreshing an existing key keeps a single entry and makes it the
+	// most recent: the next insert evicts c, not a.
 	c.Put("a", 9)
-	if v, _ := c.Get("a"); v.(int) != 9 {
-		t.Fatalf("refresh lost: %v", v)
+	c.Put("d", 4)
+	if v, ok := c.Get("a"); !ok || v.(int) != 9 {
+		t.Fatalf("refresh lost: %v, %v", v, ok)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len after refresh = %d", c.Len())
+	if _, ok := c.Get("c"); ok {
+		t.Fatal("c survived eviction after a's refresh")
+	}
+	if v, ok := c.Get("d"); !ok || v.(int) != 4 {
+		t.Fatalf("d = %v, %v", v, ok)
 	}
 }
 
 func TestQueryKeyCanonical(t *testing.T) {
-	a := Query{View: 7, Bounds: []Bound{{Col: 1, Lo: 2, Hi: 2}, {Col: 3, Lo: 0, Hi: 9}}, OutCols: []int{0, 2}}
-	b := Query{View: 7, Bounds: []Bound{{Col: 1, Lo: 2, Hi: 2}, {Col: 3, Lo: 0, Hi: 9}}, OutCols: []int{0, 2}}
+	a := Query{Group: []int{0, 2}, Bounds: []Bound{{Dim: 1, Lo: 2, Hi: 2}, {Dim: 3, Lo: 0, Hi: 9}}}
+	b := Query{Group: []int{0, 2}, Bounds: []Bound{{Dim: 1, Lo: 2, Hi: 2}, {Dim: 3, Lo: 0, Hi: 9}}}
 	if a.Key() != b.Key() {
 		t.Fatalf("identical queries, different keys:\n%s\n%s", a.Key(), b.Key())
 	}
 	c := a
-	c.OutCols = []int{2, 0}
+	c.Group = []int{2, 0}
 	if a.Key() == c.Key() {
 		t.Fatal("different output order, same key")
 	}

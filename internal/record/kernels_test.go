@@ -234,17 +234,11 @@ func TestSortWithPlanFromCards(t *testing.T) {
 func TestApplyPermutation(t *testing.T) {
 	t.Parallel()
 	tb := FromRows(2, [][]uint32{{0, 0}, {1, 1}, {2, 2}, {3, 3}}, []int64{0, 1, 2, 3})
-	ApplyPermutation(tb, []uint32{3, 1, 0, 2})
+	tb.applyPermutation([]uint32{3, 1, 0, 2}, new(sortScratch))
 	want := FromRows(2, [][]uint32{{3, 3}, {1, 1}, {0, 0}, {2, 2}}, []int64{3, 1, 0, 2})
 	if !Equal(tb, want) {
 		t.Fatalf("permutation wrong: %v", tb)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
-		}
-	}()
-	ApplyPermutation(tb, []uint32{0})
 }
 
 func TestLoserTreeMergeMatchesHeapOracle(t *testing.T) {

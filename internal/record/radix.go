@@ -173,15 +173,3 @@ func (t *Table) applyPermutation(perm []uint32, sc *sortScratch) {
 		t.state = state
 	}
 }
-
-// ApplyPermutation reorders t so that new row i is old row perm[i].
-// perm must be a permutation of [0, t.Len()); it is the gather half of
-// the radix kernel, exported for benchmarks and external kernels.
-func ApplyPermutation(t *Table, perm []uint32) {
-	if len(perm) != t.Len() {
-		panic("record: permutation length mismatch")
-	}
-	sc := scratchPool.Get().(*sortScratch)
-	t.applyPermutation(perm, sc)
-	scratchPool.Put(sc)
-}

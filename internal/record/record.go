@@ -402,7 +402,7 @@ func (s sorter) Less(i, j int) bool { return s.t.Compare(i, j, s.t.D) < 0 }
 // When the rows pack into fixed-width integer keys
 // (MeasureKeyPlan/KeyPlan), sorting runs the LSD radix kernel: pack
 // one key per row, radix sort (key, rowIdx) pairs, and reorder dims
-// and meas with a single gather (ApplyPermutation) instead of
+// and meas with a single gather (applyPermutation) instead of
 // O(n log n) multi-word swaps. Unpackable rows and tiny tables take
 // the comparison sort. Callers charge simulated time via
 // costmodel.SortOps regardless of the path taken — the kernels change

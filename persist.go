@@ -113,15 +113,17 @@ func (c *Cube) capture(includePending bool) *savedCube {
 	// not enough, because the per-view captures would otherwise
 	// interleave with an engine-level slice replacement.
 	c.engine.Maintain(func() error {
-		sc.state.ViewVersions = c.engine.Versions()
+		t := c.engine.Topology()
+		sc.state.ViewVersions = t.Versions()
 		if includePending {
 			for i := 0; i < c.pending.Len(); i++ {
 				sc.PendingDims = append(sc.PendingDims, c.pending.Row(i)...)
 				sc.PendingMeas = append(sc.PendingMeas, c.pending.Meas(i))
 			}
 		}
-		for _, v := range c.views {
-			sv := savedView{View: uint32(v), Order: c.orders[v]}
+		for _, v := range t.Views() {
+			order, _ := t.Order(v)
+			sv := savedView{View: uint32(v), Order: order}
 			name := core.ViewFile(v)
 			for r := 0; r < c.machine.P(); r++ {
 				disk := c.machine.Proc(r).Disk()
@@ -211,7 +213,6 @@ func LoadCube(r io.Reader) (*Cube, error) {
 	c := &Cube{
 		in:      in,
 		machine: m,
-		orders:  map[lattice.ViewID]lattice.Order{},
 		metrics: st.Metrics,
 		op:      record.AggOp(sc.Op),
 		opts: Options{
@@ -244,6 +245,7 @@ func LoadCube(r io.Reader) (*Cube, error) {
 
 	// Each view section is validated and placed as it is decoded; a
 	// stream that ends early is an error, never a partial cube.
+	orders := map[lattice.ViewID]lattice.Order{}
 	if sc.NumViews < 0 || sc.NumViews > 1<<d {
 		return nil, fmt.Errorf("rolap: corrupt snapshot: %d views for d=%d", sc.NumViews, d)
 	}
@@ -254,7 +256,7 @@ func LoadCube(r io.Reader) (*Cube, error) {
 		}
 		v := lattice.ViewID(sv.View)
 		order := lattice.Order(sv.Order)
-		if _, dup := c.orders[v]; dup {
+		if _, dup := orders[v]; dup {
 			return nil, fmt.Errorf("rolap: corrupt snapshot: view %v saved twice", v)
 		}
 		if !v.SubsetOf(lattice.Full(d)) || !isPermutationOf(order, v) {
@@ -285,18 +287,13 @@ func LoadCube(r io.Reader) (*Cube, error) {
 			}
 			m.Proc(r).Disk().PutSlice(core.ViewFile(v), s)
 		}
-		c.views = append(c.views, v)
-		c.orders[v] = order
+		orders[v] = order
 	}
 
-	// Planning row counts are derived from the placed storage, not
-	// tracked separately — one source of truth for slice lengths.
-	rows := map[lattice.ViewID]int64{}
-	for _, v := range c.views {
-		rows[v] = core.ViewGlobalRows(m, v)
-	}
-
-	c.engine = queryengine.New(m, c.orders, rows, c.op)
+	// Planning row counts are derived from the placed storage (a nil
+	// rows map), not tracked separately — one source of truth for slice
+	// lengths.
+	c.engine = queryengine.New(m, orders, nil, c.op)
 	c.engine.RestoreVersions(st.ViewVersions)
 	return c, nil
 }

@@ -151,11 +151,11 @@ func TestSaveLoadRehydratesQueryState(t *testing.T) {
 	// planning row counts drive the same source-view choices.
 	checkCubesEqual(t, loaded, cube)
 	for _, dims := range [][]string{{"store"}, {"month", "channel"}, {"product", "store"}} {
-		want, err := cube.engine.PickSource(mustView(t, cube, dims))
+		want, err := cube.engine.Topology().PickSource(mustView(t, cube, dims))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := loaded.engine.PickSource(mustView(t, loaded, dims))
+		got, err := loaded.engine.Topology().PickSource(mustView(t, loaded, dims))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,8 +244,8 @@ func TestSaveLoadPendingAndVersions(t *testing.T) {
 	if got, want := loaded.Pending(), cube.Pending(); got != want || got != len(rows)-base-100 {
 		t.Fatalf("pending %d after load, want %d", got, want)
 	}
-	origVers := cube.engine.Versions()
-	loadVers := loaded.engine.Versions()
+	origVers := cube.engine.Topology().Versions()
+	loadVers := loaded.engine.Topology().Versions()
 	for v, ver := range origVers {
 		if ver > 0 && loadVers[v] != ver {
 			t.Fatalf("view %v version %d after load, want %d", v, loadVers[v], ver)
@@ -467,9 +467,11 @@ func untrustedSnapshots(t testing.TB) (good []byte, cases []untrustedCase) {
 		if version >= 2 {
 			lc.ViewVersions = map[uint32]uint64{0: 1}
 		}
-		for _, v := range cube.views {
+		topo := cube.engine.Topology()
+		for _, v := range topo.Views() {
 			rows := cube.gatherViewRaw(v)
-			lv := legacyView{View: uint32(v), Order: cube.orders[v]}
+			order, _ := topo.Order(v)
+			lv := legacyView{View: uint32(v), Order: order}
 			for i := 0; i < rows.Len(); i++ {
 				lv.Dims = append(lv.Dims, rows.Row(i)...)
 				lv.Meas = append(lv.Meas, rows.Meas(i))
@@ -825,7 +827,7 @@ func TestSaveBlockedWriterDoesNotBlockIngest(t *testing.T) {
 	base := 450
 	cube := buildFromFacts(t, rows[:base], meas[:base], Options{Processors: 3})
 	pre := buildFromFacts(t, rows[:base], meas[:base], Options{Processors: 3})
-	preVers := cube.engine.Versions()
+	preVers := cube.engine.Topology().Versions()
 
 	w := &blockingWriter{started: make(chan struct{}), release: make(chan struct{})}
 	saved := make(chan error, 1)
@@ -854,7 +856,7 @@ func TestSaveBlockedWriterDoesNotBlockIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if reflect.DeepEqual(cube.engine.Versions(), preVers) {
+	if reflect.DeepEqual(cube.engine.Topology().Versions(), preVers) {
 		t.Fatal("the batch bumped no view version")
 	}
 	loaded, err := LoadCube(&w.buf)
@@ -862,7 +864,7 @@ func TestSaveBlockedWriterDoesNotBlockIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkCubesEqual(t, loaded, pre)
-	if got := loaded.engine.Versions(); !reflect.DeepEqual(got, preVers) {
+	if got := loaded.engine.Topology().Versions(); !reflect.DeepEqual(got, preVers) {
 		t.Fatalf("loaded versions %v, pre-batch %v", got, preVers)
 	}
 }

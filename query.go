@@ -2,7 +2,6 @@ package rolap
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -44,96 +43,67 @@ type Querier interface {
 	Do(ctx context.Context, q Query) (*View, QueryMetrics, error)
 }
 
-// resolved is a Query validated against the schema, its names turned
-// into internal dimensions.
-type resolved struct {
-	group  lattice.Order
-	bounds map[int][2]uint32
-	pct    float64
-}
-
-// resolve validates q against the schema and the cube's operator.
-// Everything it rejects is the caller's mistake, whatever the state of
-// the cube or of a replica serving it.
-func (c *Cube) resolve(q Query) (resolved, error) {
+// resolve validates q against the schema and the cube's operator and
+// states it in internal dimensions for the engine. Everything it
+// rejects is the caller's mistake, whatever the state of the cube or
+// of a replica serving it. It reads no view set: the engine picks the
+// source view when it executes.
+func (c *Cube) resolve(q Query) (queryengine.Query, error) {
 	group, err := c.in.orderOf(q.Group)
 	if err != nil {
-		return resolved{}, err
+		return queryengine.Query{}, err
 	}
-	r := resolved{group: group, bounds: make(map[int][2]uint32, len(q.Bounds)), pct: defaultPercentile}
+	bounds := make(map[int][2]uint32, len(q.Bounds))
 	for _, b := range q.Bounds {
 		dim, err := c.in.dimOf(b.Dim)
 		if err != nil {
-			return resolved{}, err
+			return queryengine.Query{}, err
 		}
-		if _, dup := r.bounds[dim]; dup {
-			return resolved{}, fmt.Errorf("rolap: dimension %q bounded twice", b.Dim)
+		if _, dup := bounds[dim]; dup {
+			return queryengine.Query{}, fmt.Errorf("rolap: dimension %q bounded twice", b.Dim)
 		}
 		if b.Lo > b.Hi {
-			return resolved{}, fmt.Errorf("rolap: empty range on %q", b.Dim)
+			return queryengine.Query{}, fmt.Errorf("rolap: empty range on %q", b.Dim)
 		}
-		r.bounds[dim] = [2]uint32{b.Lo, b.Hi}
+		bounds[dim] = [2]uint32{b.Lo, b.Hi}
 	}
+	pct := defaultPercentile
 	if q.Percentile != nil {
 		if c.opts.Aggregate != Quantile {
-			return resolved{}, fmt.Errorf("rolap: a percentile rank requires a Quantile cube (have %v)", c.opts.Aggregate)
+			return queryengine.Query{}, fmt.Errorf("rolap: a percentile rank requires a Quantile cube (have %v)", c.opts.Aggregate)
 		}
-		if r.pct = *q.Percentile; !(r.pct >= 0 && r.pct <= 1) {
-			return resolved{}, fmt.Errorf("rolap: percentile rank %v outside [0, 1]", r.pct)
+		if pct = *q.Percentile; !(pct >= 0 && pct <= 1) {
+			return queryengine.Query{}, fmt.Errorf("rolap: percentile rank %v outside [0, 1]", pct)
 		}
 	}
-	return r, nil
-}
-
-// plan picks the source view — the smallest materialized view
-// containing every referenced dimension, the standard ROLAP rewrite —
-// and resolves the query's columns against that view's layout.
-func (c *Cube) plan(r resolved) (queryengine.Query, error) {
-	p, err := c.engine.NewQuery(r.group, r.bounds)
+	eq, err := c.engine.NewQuery(group, bounds)
 	if err != nil {
 		return queryengine.Query{}, fmt.Errorf("rolap: %w", err)
 	}
 	if c.op.Holistic() {
-		p.Percentile = r.pct
+		eq.Percentile = pct
 	}
-	return p, nil
+	return eq, nil
 }
 
-// staleReplanLimit bounds replan retries after ErrStalePlan. Each
-// retry replans against the then-current view set; the set always
-// contains a cover for any answerable query (retirement requires a
-// surviving superset), so one retry normally suffices.
-const staleReplanLimit = 4
-
-// do is the one query path: resolve q, plan it, hand the plan to exec
-// and wrap the rows it returns as a View. The advisor can retire a
-// plan's source view between planning and execution; the engine rejects
-// such a stale plan (never silently misreads it) and do replans against
-// the current view set. It also returns how many times it replanned.
-func (c *Cube) do(q Query, exec func(queryengine.Query) (*record.Table, QueryMetrics, error)) (*View, QueryMetrics, int, error) {
-	r, err := c.resolve(q)
+// do is the one query path: resolve q, hand it to exec, which plans
+// and executes it against the view set of that moment, and wrap the
+// rows it returns as a View.
+func (c *Cube) do(q Query, exec func(queryengine.Query) (*record.Table, QueryMetrics, error)) (*View, QueryMetrics, error) {
+	eq, err := c.resolve(q)
 	if err != nil {
-		return nil, QueryMetrics{}, 0, err
+		return nil, QueryMetrics{}, err
 	}
-	for replans := 0; ; replans++ {
-		var rows *record.Table
-		var qm QueryMetrics
-		p, err := c.plan(r)
-		if err == nil {
-			rows, qm, err = exec(p)
-		}
-		if err == nil {
-			return &View{
-				Attributes: append([]string(nil), q.Group...),
-				Estimated:  c.op.Holistic(),
-				order:      r.group,
-				rows:       rows,
-			}, qm, replans, nil
-		}
-		if replans == staleReplanLimit || !errors.Is(err, queryengine.ErrStalePlan) {
-			return nil, QueryMetrics{}, replans, err
-		}
+	rows, qm, err := exec(eq)
+	if err != nil {
+		return nil, QueryMetrics{}, err
 	}
+	return &View{
+		Attributes: append([]string(nil), q.Group...),
+		Estimated:  c.op.Holistic(),
+		order:      eq.Group,
+		rows:       rows,
+	}, qm, nil
 }
 
 // Do answers q where the data lives: every processor filters, projects
@@ -142,14 +112,13 @@ func (c *Cube) do(q Query, exec func(queryengine.Query) (*record.Table, QueryMet
 // Built and snapshot-loaded cubes run the same path. The result is a
 // computed View, not materialized on the cluster.
 func (c *Cube) Do(ctx context.Context, q Query) (*View, QueryMetrics, error) {
-	v, qm, _, err := c.do(q, func(p queryengine.Query) (*record.Table, QueryMetrics, error) {
+	return c.do(q, func(eq queryengine.Query) (*record.Table, QueryMetrics, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, QueryMetrics{}, err
 		}
-		rows, em, err := c.engine.Execute(p)
+		rows, em, err := c.engine.Execute(eq)
 		return rows, c.queryMetrics(em), err
 	})
-	return v, qm, err
 }
 
 // queryMetrics reports what one execution cost.

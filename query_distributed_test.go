@@ -215,12 +215,12 @@ func TestSmallestSupersetDeterministicTieBreak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := cube.engine.PickSource(need)
+	first, err := cube.engine.Topology().PickSource(need)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		v, err := cube.engine.PickSource(need)
+		v, err := cube.engine.Topology().PickSource(need)
 		if err != nil {
 			t.Fatal(err)
 		}

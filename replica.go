@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/lattice"
+	"repro/internal/queryengine"
 	"repro/internal/replica"
 )
 
@@ -282,7 +282,7 @@ func (r *ReplicaSet) Do(ctx context.Context, q Query) (*View, QueryMetrics, erro
 	if err != nil {
 		return nil, QueryMetrics{}, err
 	}
-	return r.resilient(ctx, q, res.affinity())
+	return r.resilient(ctx, q, affinity(res))
 }
 
 // GroupBy is the replicated form of Cube.GroupBy.
@@ -665,26 +665,24 @@ func (r *ReplicaSet) Close() {
 
 // affinity hashes a resolved query into a stable routing affinity, so
 // repeat queries land on the replica whose result cache already holds
-// them. Bounds are folded in dimension order to keep the hash
-// independent of map iteration.
-func (r resolved) affinity() uint64 {
-	h := math.Float64bits(r.pct)
+// them. Bounds are kept sorted by dimension, so the hash does not
+// depend on the order the caller listed them in.
+func affinity(q queryengine.Query) uint64 {
+	h := math.Float64bits(q.Percentile)
 	// Fibonacci hashing; routing takes the affinity mod the replica
 	// count, so the well-mixed high bits are folded down.
 	mix := func(v int) {
 		h = (h ^ uint64(v)) * 0x9E3779B97F4A7C15
 		h ^= h >> 32
 	}
-	for _, dim := range r.group {
+	for _, dim := range q.Group {
 		mix(dim)
 	}
 	mix(-1) // "group by a" is not "where a"
-	for dim := 0; dim < lattice.MaxDims; dim++ {
-		if b, ok := r.bounds[dim]; ok {
-			mix(dim)
-			mix(int(b[0]))
-			mix(int(b[1]))
-		}
+	for _, b := range q.Bounds {
+		mix(b.Dim)
+		mix(int(b.Lo))
+		mix(int(b.Hi))
 	}
 	return h | 1<<63 // 0 is the group's "no affinity"
 }

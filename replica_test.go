@@ -59,13 +59,13 @@ func TestReplicaSetMatchesLeader(t *testing.T) {
 	if st.SnapshotSeq == 0 {
 		t.Fatalf("snapshot never refreshed: %+v", st)
 	}
-	leaderVers := leader.engine.Versions()
+	leaderVers := leader.engine.Topology().Versions()
 	for i, rc := range replicaCubes(rs) {
 		if rc == nil {
 			t.Fatalf("replica %d has no node: %+v", i, st.Replicas[i])
 		}
 		checkCubesEqual(t, rc, leader)
-		repVers := rc.engine.Versions()
+		repVers := rc.engine.Topology().Versions()
 		for v, ver := range leaderVers {
 			if repVers[v] != ver {
 				t.Fatalf("replica %d: view %v version %d, leader %d", i, v, repVers[v], ver)

@@ -263,16 +263,12 @@ type Options struct {
 type Cube struct {
 	in      *Input
 	machine *cluster.Machine
-	views   []lattice.ViewID
-	orders  map[lattice.ViewID]lattice.Order
-	// topoMu guards views/orders/trees against the advisor's online
-	// materialize/retire (writers additionally hold ingMu and the
-	// engine maintenance lock; gather-path readers take the read lock).
-	topoMu  sync.RWMutex
 	metrics Metrics
 	op      record.AggOp
 	// engine serves every query where the slices live; Build and
-	// LoadCube both wire it.
+	// LoadCube both wire it. Its Topology is the cube's one record of
+	// the materialized view set: which views are live, their orders,
+	// row counts and versions.
 	engine *queryengine.Engine
 
 	// opts keeps the build configuration so incremental batches reuse
@@ -281,7 +277,7 @@ type Cube struct {
 	// trees holds the retained per-dimension schedule trees from a
 	// global-tree build; ingest falls back to a deterministic schedule
 	// derived from the view orders when absent (local-tree builds and
-	// loaded snapshots).
+	// loaded snapshots). Guarded by ingMu.
 	trees map[int]*lattice.Tree
 
 	// pending buffers appended facts (internal dimension order) until
@@ -408,10 +404,6 @@ func Build(in *Input, opts Options) (_ *Cube, err error) {
 		return nil, err
 	}
 
-	views := selected
-	if views == nil {
-		views = lattice.AllViews(d)
-	}
 	// The build is done: clear any injected fault plan (and straggler
 	// slowdowns) so it cannot fire during query supersteps.
 	m.SetFaults(nil)
@@ -420,8 +412,6 @@ func Build(in *Input, opts Options) (_ *Cube, err error) {
 	return &Cube{
 		in:      in,
 		machine: m,
-		views:   views,
-		orders:  met.ViewOrders,
 		metrics: publicMetrics(in, met),
 		op:      opts.Aggregate.op(),
 		engine:  engine,

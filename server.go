@@ -109,9 +109,6 @@ type ServerStats struct {
 	// a view with heavy Fallbacks and RowsScanned is paying superset
 	// scans that materializing it would eliminate.
 	Views map[string]ViewServeStats
-	// Replans counts queries that were replanned after their source
-	// view was retired mid-flight by the advisor.
-	Replans int64
 }
 
 // ViewServeStats are one target view's cumulative serving counters.
@@ -182,16 +179,15 @@ func (e *OverloadError) Is(target error) bool { return target == ErrServerOverlo
 func (e *OverloadError) Unwrap() error { return e.Cause }
 
 // Server is a concurrent query front end over a built cube: a bounded
-// worker pool admits queries, a canonicalized-key LRU cache answers
-// repeats without touching the machine, and everything admitted
-// executes scatter–gather on the cube's simulated cluster. Each cache
-// entry is stamped with the source view's version counter as returned
-// by the execution itself (not as read at plan time, which would race
-// with a concurrent ingest commit), and a hit is served only when the
-// entry's version still matches the view's current version — results
-// cached before an ingest batch cannot be served after the batch
-// replaces that view's slices. Server is safe for concurrent use,
-// including concurrently with Cube.Ingest.
+// worker pool admits queries, an LRU cache keyed by the logical query
+// answers repeats without touching the machine, and everything
+// admitted executes scatter–gather on the cube's simulated cluster.
+// Each cache entry is stamped with the source view and version its
+// execution ran against, and a hit is served only while that view is
+// still live at that version — results cached before an ingest batch
+// cannot be served after the batch replaces that view's slices, nor
+// after the advisor retires the view. Server is safe for concurrent
+// use, including concurrently with Cube.Ingest and an Advisor.
 //
 // Under overload the server degrades instead of falling over:
 // identical concurrent queries coalesce into one execution
@@ -226,7 +222,6 @@ type Server struct {
 	staleWidened  atomic.Int64
 	queueFull     atomic.Int64
 	queueDeadline atomic.Int64
-	replans       atomic.Int64
 	simNanos      atomic.Int64 // SimSeconds accumulated in rounded nanoseconds
 	rowsTotal     atomic.Int64
 	wallMicros    atomic.Int64 // wall time of completed executions
@@ -288,26 +283,21 @@ func (c *Cube) NewServer(opts ServerOptions) (*Server, error) {
 }
 
 // cached pairs a query's merged result table with the metrics of the
-// execution that produced it, so cache hits can still report the
-// source view. The table is immutable and safely shared across hits.
-// ver is the source view's version the execution ran against (from
-// queryengine.Metrics.Version); a hit is valid only while the view is
-// still at that version.
+// execution that produced it. The table is immutable and safely shared
+// across hits. met.Source and met.Version stamp the entry: a hit is
+// valid only while that view is live at that version.
 type cached struct {
 	rows *record.Table
 	met  queryengine.Metrics
-	ver  uint64
 }
 
 // Do answers q like Cube.Do, with admission control, deadline, caching
 // and per-query cost metrics.
 func (s *Server) Do(ctx context.Context, q Query) (*View, QueryMetrics, error) {
-	v, qm, replans, err := s.cube.do(q, func(p queryengine.Query) (*record.Table, QueryMetrics, error) {
-		c, qm, err := s.serve(ctx, p)
+	return s.cube.do(q, func(eq queryengine.Query) (*record.Table, QueryMetrics, error) {
+		c, qm, err := s.serve(ctx, eq)
 		return c.rows, qm, err
 	})
-	s.replans.Add(int64(replans))
-	return v, qm, err
 }
 
 // GroupBy is the served form of Cube.GroupBy.
@@ -325,13 +315,12 @@ func (s *Server) RangeAggregate(ctx context.Context, dims []string, lo, hi []uin
 	return rangeAggregate(ctx, s, dims, lo, hi)
 }
 
-// serve runs one planned query through the pipeline and, on success,
-// folds it into the per-target-view counters the advisor mines. The
-// cache key is deliberately version-free: stamping it with the version
-// read at plan time raced with concurrent ingest (execution happens
-// after admission, so a result computed post-commit could be filed
-// under the pre-commit version). Instead each cached entry carries the
-// version its execution actually ran against, validated on every hit.
+// serve runs one query through the pipeline and, on success, folds it
+// into the per-target-view counters the advisor mines. The cache key is
+// the logical query, free of any view or version: the source is picked
+// at execution, after admission, so each cached entry carries the
+// source and version its execution actually ran against, validated on
+// every hit.
 func (s *Server) serve(ctx context.Context, q queryengine.Query) (cached, QueryMetrics, error) {
 	c, qm, err := s.servePipeline(ctx, q.Key(), q)
 	if err == nil {
@@ -344,7 +333,7 @@ func (s *Server) serve(ctx context.Context, q queryengine.Query) (cached, QueryM
 // counters: a hit if the need was answered from the exact view, a
 // fallback if it was rewritten to a superset scan.
 func (s *Server) noteViewServe(q queryengine.Query, qm QueryMetrics) {
-	target := strings.Join(s.cube.sourceViewNames(q.Need), ",")
+	target := strings.Join(s.cube.sourceViewNames(q.Need()), ",")
 	source := strings.Join(qm.SourceView, ",")
 	s.vsMu.Lock()
 	defer s.vsMu.Unlock()
@@ -365,7 +354,7 @@ func (s *Server) noteViewServe(q queryengine.Query, qm QueryMetrics) {
 }
 
 // servePipeline runs the cache → coalesce → admission → execute
-// pipeline for one planned query and returns the cached entry (fresh
+// pipeline for one query and returns the cached entry (fresh
 // or reused) plus metrics.
 func (s *Server) servePipeline(ctx context.Context, key string, q queryengine.Query) (cached, QueryMetrics, error) {
 	if s.timeout > 0 {
@@ -375,15 +364,15 @@ func (s *Server) servePipeline(ctx context.Context, key string, q queryengine.Qu
 	}
 
 	// Cache first: hits bypass admission entirely — they cost nothing
-	// on the simulated machine. A hit is honored only if the entry's
-	// stamped version still matches the source view's current version;
-	// a stale entry (the view was replaced by an ingest batch since the
-	// entry was computed) falls through to execution, which overwrites
-	// it under the same key with the fresh version.
+	// on the simulated machine. A hit is honored only while the entry's
+	// source view is live at its stamped version; a stale entry (an
+	// ingest batch replaced the view's slices, or the advisor retired
+	// it, since the entry was computed) falls through to execution,
+	// which overwrites it under the same key.
 	if s.cache != nil {
 		if v, ok := s.cache.Get(key); ok {
 			c := v.(cached)
-			if c.ver == s.cube.engine.ViewVersion(q.View) {
+			if ver, live := s.cube.engine.Topology().Version(c.met.Source); live && ver == c.met.Version {
 				s.queries.Add(1)
 				s.hits.Add(1)
 				return c, QueryMetrics{
@@ -441,7 +430,7 @@ func (s *Server) servePipeline(ctx context.Context, key string, q queryengine.Qu
 // through the shed ladder when admission refuses the query.
 func (s *Server) execute(ctx context.Context, key string, q queryengine.Query) (cached, QueryMetrics, error) {
 	if oe := s.admit(ctx); oe != nil {
-		if c, qm, ok := s.serveStale(key, q, oe.Reason); ok {
+		if c, qm, ok := s.serveStale(key, oe.Reason); ok {
 			return c, qm, nil
 		}
 		switch oe.Reason {
@@ -472,7 +461,7 @@ func (s *Server) execute(ctx context.Context, key string, q queryengine.Query) (
 	}
 	s.wallMicros.Add(time.Since(start).Microseconds())
 	s.wallCount.Add(1)
-	c := cached{rows: rows, met: em, ver: em.Version}
+	c := cached{rows: rows, met: em}
 	if s.cache != nil {
 		s.cache.Put(key, c)
 	}
@@ -489,9 +478,10 @@ func (s *Server) execute(ctx context.Context, key string, q queryengine.Query) (
 // query with the cached result for its key, first within the
 // StaleLimit bound, then — only under hard queue-full overload — at
 // any staleness. Freshness is measured in ingest batches behind the
-// live view (version distance). Reports false when no rung applies
-// and the query must be rejected.
-func (s *Server) serveStale(key string, q queryengine.Query, reason OverloadReason) (cached, QueryMetrics, bool) {
+// live source view (version distance); an entry whose source has been
+// retired has no measurable staleness and is not served. Reports false
+// when no rung applies and the query must be rejected.
+func (s *Server) serveStale(key string, reason OverloadReason) (cached, QueryMetrics, bool) {
 	if s.cache == nil || s.staleLimit < 0 {
 		return cached{}, QueryMetrics{}, false
 	}
@@ -500,7 +490,11 @@ func (s *Server) serveStale(key string, q queryengine.Query, reason OverloadReas
 		return cached{}, QueryMetrics{}, false
 	}
 	c := v.(cached)
-	dist := s.cube.engine.ViewVersion(q.View) - c.ver
+	ver, live := s.cube.engine.Topology().Version(c.met.Source)
+	if !live {
+		return cached{}, QueryMetrics{}, false
+	}
+	dist := ver - c.met.Version
 	if dist <= uint64(s.staleLimit) {
 		s.staleServes.Add(1)
 	} else if reason == OverloadQueueFull {
@@ -575,7 +569,6 @@ func (s *Server) Stats() ServerStats {
 	s.vsMu.Unlock()
 	return ServerStats{
 		Views:                views,
-		Replans:              s.replans.Load(),
 		Queries:              s.queries.Load(),
 		CacheHits:            s.hits.Load(),
 		Rejected:             s.rejected.Load(),

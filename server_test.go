@@ -5,10 +5,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/lattice"
 	"repro/internal/record"
 )
 
@@ -183,8 +186,8 @@ func TestServerConcurrentCorrectness(t *testing.T) {
 // TestServerCacheVersionValidation pins the execution-time version
 // stamp: a result cached before an ingest batch must not be served
 // after the batch replaces its source view, and the refreshed entry
-// must carry the post-batch version (a stale plan-time stamp would
-// permanently poison the key).
+// must carry the post-batch version (a stamp read before execution
+// would permanently poison the key).
 func TestServerCacheVersionValidation(t *testing.T) {
 	rows, meas := randomFacts(500, 419)
 	base := 400
@@ -329,5 +332,85 @@ func TestServerSimSecondsSumsQueries(t *testing.T) {
 	}
 	if got := s.Stats().SimSeconds; math.Abs(got-sum) > n*1e-9 {
 		t.Fatalf("ServerStats.SimSeconds = %.12f, per-query sum %.12f (off by %.3g s over %d queries)", got, sum, got-sum, n)
+	}
+}
+
+// TestServerCacheFollowsSourceView: a cache entry is keyed by the
+// logical query and stamped with the view and version its execution
+// ran against. Adding a smaller cover leaves that source live at its
+// version, so the entry still hits; retiring the source makes it miss,
+// and the re-execution answers from a surviving view.
+func TestServerCacheFollowsSourceView(t *testing.T) {
+	in, _ := loadRandom(t, 800, 37)
+	mid := []string{"month", "store", "channel"}
+	cube, err := Build(in, Options{Processors: 3, SelectedViews: [][]string{allDims, mid}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := cube.NewServer(ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	dims, filters := []string{"store"}, map[string]uint32{"channel": 1}
+	names := func(dims ...string) []string {
+		out := append([]string(nil), dims...)
+		sort.Strings(out)
+		return out
+	}
+	viewOf := func(dims []string) lattice.ViewID {
+		v, err := cube.in.viewOf(dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+
+	first, qm, err := s.GroupBy(ctx, dims, filters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qm.CacheHit || !reflect.DeepEqual(qm.SourceView, names(mid...)) {
+		t.Fatalf("first query: hit=%v source %v, want a miss from %v", qm.CacheHit, qm.SourceView, names(mid...))
+	}
+
+	// A smaller cover goes live; the entry's source is untouched.
+	cube.ingMu.Lock()
+	_, err = cube.materializeView(viewOf([]string{"store", "channel"}))
+	cube.ingMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vw, qm, err := s.GroupBy(ctx, dims, filters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !qm.CacheHit || !reflect.DeepEqual(qm.SourceView, names(mid...)) {
+		t.Fatalf("after adding a smaller cover: hit=%v source %v, want a hit from %v", qm.CacheHit, qm.SourceView, names(mid...))
+	}
+	if !record.Equal(vw.rows, first.rows) {
+		t.Fatal("cache hit returned different rows")
+	}
+
+	// Retiring the entry's source makes it miss.
+	cube.ingMu.Lock()
+	retired, err := cube.retireView(viewOf(mid))
+	cube.ingMu.Unlock()
+	if err != nil || !retired {
+		t.Fatalf("retiring %v: retired=%v err=%v", mid, retired, err)
+	}
+	vw, qm, err = s.GroupBy(ctx, dims, filters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qm.CacheHit || !reflect.DeepEqual(qm.SourceView, names("store", "channel")) {
+		t.Fatalf("after retiring the source: hit=%v source %v, want a miss from [channel store]", qm.CacheHit, qm.SourceView)
+	}
+	want, err := cube.gatherQuery(eqQuery(dims, filters))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !record.Equal(vw.rows, want.rows) {
+		t.Fatalf("re-executed answer differs from the gather oracle\ngot  %v\nwant %v", vw.rows, want.rows)
 	}
 }

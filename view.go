@@ -30,9 +30,7 @@ type View struct {
 // list of dimension names ("[]" is the grand total), in deterministic
 // order.
 func (c *Cube) Views() [][]string {
-	c.topoMu.RLock()
-	views := append([]lattice.ViewID(nil), c.views...)
-	c.topoMu.RUnlock()
+	views := c.engine.Topology().Views()
 	out := make([][]string, 0, len(views))
 	for _, v := range views {
 		names := c.in.namesOf(lattice.Canonical(v))
@@ -59,10 +57,7 @@ func (c *Cube) lookup(dims []string) (lattice.ViewID, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.topoMu.RLock()
-	_, ok := c.orders[v]
-	c.topoMu.RUnlock()
-	if !ok {
+	if _, ok := c.engine.Topology().Order(v); !ok {
 		return 0, fmt.Errorf("rolap: view %v not materialized", dims)
 	}
 	return v, nil
@@ -109,9 +104,7 @@ func (c *Cube) gather(v lattice.ViewID) (*View, bool) {
 	found := false
 	var rows *record.Table
 	read := func() error {
-		c.topoMu.RLock()
-		order, found = c.orders[v]
-		c.topoMu.RUnlock()
+		order, found = c.engine.Topology().Order(v)
 		if !found {
 			return nil
 		}
